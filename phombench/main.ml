@@ -4,8 +4,9 @@
 
    --trace 0 (timed run): phomd is started as a child on a Unix socket
    with --jobs 2, set up five times (spawn → ready, every load, the
-   warm-up pass; the median is setup_s), then driven as a closed loop over
-   two connections for S seconds. Every reply is checked against the
+   warm-up pass; the median is setup_s), taken through the workload's
+   lead-in, then driven as a closed loop over one connection for S
+   seconds. Every reply is checked against the
    in-process oracle afterwards. The last stdout line is the result JSON
    carrying the end-to-end metrics.
 
@@ -71,78 +72,82 @@ let expect_ok what reply =
 
 (* ---- set-up ---- *)
 
-type setup = { d : S.daemon; c : S.conn; seconds : float; warm : (W.step * string) list }
+type setup = {
+  d : S.daemon;
+  c : S.conn;
+  seconds : float;
+  reference : float;  (** {!Calib.seconds} just before *)
+  warm : (W.step * string) list;
+}
+
+let ask c = List.map (fun (s : W.step) -> (s, S.request c s.W.line))
 
 let daemon_args (wl : W.t) dir i =
   [ "--cache-mb"; string_of_int wl.W.cache_mb ]
   @
   if wl.W.state_dir then
-    [ "--state-dir"; Filename.concat dir (Printf.sprintf "state%d" i) ]
+    [ "--state-dir"; Filename.concat dir (Printf.sprintf "state%d" i); "--fsync"; "never" ]
   else []
 
 let setup ~phomd (wl : W.t) ~dir ~files i =
+  let reference = Calib.seconds () in
   let t0 = now () in
   let socket = Filename.concat dir (Printf.sprintf "s%d.sock" i) in
   let d = S.spawn ~phomd ~socket (daemon_args wl dir i) in
   let c = S.connect d.S.socket in
   List.iter (fun l -> expect_ok l (S.request c l)) (load_lines wl files);
-  let warm = List.map (fun (s : W.step) -> (s, S.request c s.W.line)) wl.W.warmup in
-  { d; c; seconds = now () -. t0; warm }
+  let warm = ask c wl.W.warmup in
+  { d; c; seconds = now () -. t0; reference; warm }
 
 (* ---- the closed loop ---- *)
 
-type record = { step : W.step; sent : float; recv : float; reply : string option }
+type record = {
+  step : W.step;
+  sent : float;
+  recv : float;
+  reply : string option;
+  reference : float;  (** the latest {!Calib.seconds} before the request *)
+}
 
-(* two connections, each sending its next request only after the reply to
-   the previous one; nothing new is sent after [seconds], and the replies
-   still in flight are awaited *)
-let closed_loop (wl : W.t) conns ~seconds =
-  let t0 = now () in
-  let deadline = t0 +. seconds in
-  let next = Array.make 2 0 and pending = Array.make 2 None in
-  let records = ref [] in
-  let issue c =
-    let step = wl.W.stream ~conn:c next.(c) in
-    next.(c) <- next.(c) + 1;
-    pending.(c) <- Some (step, now ());
-    S.send conns.(c) step.W.line
+(* how often the loop times the reference work: often enough to follow the
+   machine's changes of speed, seldom enough to cost a few per cent *)
+let reference_every = 0.1
+
+(* one connection, each request sent only after the reply to the previous
+   one, so a request's round trip is its own and never a wait behind
+   another. Nothing new is sent after [seconds]; a request that gets no
+   reply ends the loop.
+
+   Between requests, every [reference_every] seconds, the loop times the
+   reference work, outside the requests' own times. Before each block of
+   [wl.period] requests it reads the daemon's CPU time ([cpu]); besides
+   the records it returns those readings, one per block begun and one at
+   the end. *)
+let closed_loop (wl : W.t) c ~cpu ~seconds =
+  let deadline = now () +. seconds in
+  let cpus = ref [] and reference = ref 0. and measured = ref neg_infinity in
+  let rec go i acc =
+    if now () >= deadline then List.rev acc
+    else begin
+      if i mod wl.W.period = 0 then cpus := cpu () :: !cpus;
+      if now () -. !measured >= reference_every then begin
+        reference := Calib.seconds ();
+        measured := now ()
+      end;
+      let step = W.nth wl i in
+      let sent = now () in
+      (* far beyond the daemon's own per-request budget *)
+      let reply =
+        try Some (S.send c step.W.line; S.read_line ~timeout:60. c)
+        with Failure _ | End_of_file | Unix.Unix_error _ -> None
+      in
+      let r = { step; sent; recv = now (); reply; reference = !reference } in
+      if reply = None then List.rev (r :: acc) else go (i + 1) (r :: acc)
+    end
   in
-  issue 0;
-  issue 1;
-  let busy () = List.filter (fun c -> pending.(c) <> None) [ 0; 1 ] in
-  let rec loop () =
-    match busy () with
-    | [] -> ()
-    | cs -> (
-        (* far beyond the daemon's own per-request budget *)
-        match S.select_retry (List.map (fun c -> conns.(c).S.fd) cs) [] 60. with
-        | [], _, _ ->
-            List.iter
-              (fun c ->
-                match pending.(c) with
-                | Some (step, sent) ->
-                    records := { step; sent; recv = now (); reply = None } :: !records;
-                    pending.(c) <- None
-                | None -> ())
-              cs
-        | readable, _, _ ->
-            List.iter
-              (fun c ->
-                if List.mem conns.(c).S.fd readable then begin
-                  S.fill conns.(c);
-                  match (S.take_line conns.(c), pending.(c)) with
-                  | Some line, Some (step, sent) ->
-                      let recv = now () in
-                      records := { step; sent; recv; reply = Some line } :: !records;
-                      pending.(c) <- None;
-                      if recv < deadline then issue c
-                  | _ -> ()
-                end)
-              cs;
-            loop ())
-  in
-  loop ();
-  (t0, List.rev !records)
+  let records = go 0 [] in
+  let cpus = cpu () :: !cpus in
+  (records, Array.of_list (List.rev cpus))
 
 (* ---- reporting ---- *)
 
@@ -157,16 +162,6 @@ let json_of_result ~correct ~attempted ~failed metrics =
 let print_metrics title ms =
   say "%s" title;
   List.iter (fun m -> say "  %-34s %14.6f %s" m.name m.value m.unit) ms
-
-(* a latency percentile in ms under the ten-beyond rule; an unsupported
-   tail is reported and makes the run incorrect rather than silently
-   resting on too few samples *)
-let pct ~p xs problems =
-  match Stats.percentile ~p (List.map (fun s -> s *. 1000.) xs) with
-  | Ok v -> v
-  | Error e ->
-      problems := e :: !problems;
-      Float.nan
 
 let is_solve (s : W.step) = match s.W.op with W.Query { problem = Some _; _ } -> true | _ -> false
 let is_count (s : W.step) = match s.W.op with W.Query { problem = None; _ } -> true | _ -> false
@@ -251,6 +246,62 @@ let shape_report ~seed (wl : W.t) steps =
 
 (* ---- timed run ---- *)
 
+(* whole blocks a run needs before its throughput is reported *)
+let min_blocks = 5
+
+(* throughput as the median over whole blocks: every [wl.period]
+   consecutive requests are the same work, so a block's time varies only
+   with the machine, and the median sets aside the blocks a burst of
+   outside load slowed. A block's time is the sum of its requests' round
+   trips, each scaled by [scale]. *)
+let block_rate (wl : W.t) ~scale records problems =
+  let a = Array.of_list records in
+  let p = wl.W.period in
+  let n = Array.length a / p in
+  if n < min_blocks then begin
+    problems :=
+      Printf.sprintf "req_per_s needs %d whole blocks of %d requests, the run gave %d" min_blocks p n
+      :: !problems;
+    Float.nan
+  end
+  else
+    let times =
+      List.init n (fun b ->
+          let t = ref 0. in
+          for i = b * p to ((b + 1) * p) - 1 do
+            t := !t +. ((a.(i).recv -. a.(i).sent) *. scale a.(i))
+          done;
+          !t)
+    in
+    float_of_int p /. Stats.median times
+
+(* a solve's kind: the same kind is the same work every time *)
+let solve_kind (s : W.step) =
+  match s.W.op with
+  | W.Query { problem = Some p; g1; g2; exact; _ } -> Some (p, g1, g2, exact)
+  | _ -> None
+
+(* solve latency as the geometric mean over the solve kinds of each kind's
+   median round trip: the kinds weigh alike whatever their share of the
+   window, so the figure does not step between kinds as the mix shifts.
+   Each round trip is scaled by [scale]. *)
+let solve_ms ~scale records problems =
+  let by_kind = Hashtbl.create 64 in
+  List.iter
+    (fun r ->
+      match solve_kind r.step with
+      | Some k ->
+          Hashtbl.replace by_kind k
+            (((r.recv -. r.sent) *. scale r) :: Option.value ~default:[] (Hashtbl.find_opt by_kind k))
+      | None -> ())
+    records;
+  let medians = Hashtbl.fold (fun _ xs acc -> (Stats.median xs *. 1000.) :: acc) by_kind [] in
+  if medians = [] then begin
+    problems := "solve_ms: no solves in the window" :: !problems;
+    Float.nan
+  end
+  else exp (Stats.mean (List.map log medians))
+
 let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   (* every set-up but the last is torn down before the next starts *)
   let runs =
@@ -263,12 +314,13 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
         r)
   in
   let last = List.nth runs (setups - 1) in
-  let conns = Array.init 2 (fun _ -> S.connect last.d.S.socket) in
+  let lead = ask last.c wl.W.lead_in in
   let s0 = S.stats last.c in
-  let t0, records = closed_loop wl conns ~seconds in
+  let records, cpus =
+    closed_loop wl last.c ~cpu:(fun () -> S.cpu_seconds last.d) ~seconds
+  in
   let s1 = S.stats last.c in
   let rss = S.peak_rss_mb last.d in
-  Array.iter S.close conns;
   S.close last.c;
   S.stop last.d;
   (* the oracle runs after the window, with the daemon gone *)
@@ -289,8 +341,8 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
           match check s (Some reply) with
           | Ok () -> ()
           | Error e -> failures := e :: !failures)
-        r.warm)
-    runs;
+        r)
+    (lead :: List.map (fun r -> r.warm) runs);
   let passed =
     List.map
       (fun r ->
@@ -303,9 +355,6 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   in
   let attempted = List.length records in
   let failed = List.length (List.filter not passed) in
-  (* throughput over the measured span: first send to last reply *)
-  let elapsed = List.fold_left (fun acc r -> Float.max acc (r.recv -. t0)) 0. records in
-  let ok_count = List.length (List.filter Fun.id passed) in
   let lat pred =
     List.filter_map
       (fun r -> if pred r.step then Some (r.recv -. r.sent) else None)
@@ -313,15 +362,43 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   in
   let problems = ref [] in
   let solves = lat is_solve in
-  let e2e =
+  (* every timing at the reference machine's speed (Calib), each scaled
+     by the reference measured next to it; [raw] gives them as measured,
+     for the report *)
+  let e2e ~raw problems =
+    let scale r = if raw then 1. else Calib.scale r.reference in
+    let a = Array.of_list records and p = wl.W.period in
+    (* a block's CPU time is scaled by its requests' mean scale *)
+    let block_cpu b =
+      let s = ref 0. in
+      for i = b * p to ((b + 1) * p) - 1 do
+        s := !s +. scale a.(i)
+      done;
+      (cpus.(b + 1) -. cpus.(b)) *. !s /. float_of_int p
+    in
     [
-      { name = "setup_s"; unit = "s"; value = Stats.median (List.map (fun r -> r.seconds) runs) };
-      { name = "req_per_s"; unit = "1/s"; value = float_of_int ok_count /. elapsed };
-      { name = "solve_p50_ms"; unit = "ms"; value = pct ~p:0.50 solves problems };
-      { name = "solve_p90_ms"; unit = "ms"; value = pct ~p:0.90 solves problems };
+      {
+        name = "setup_s";
+        unit = "s";
+        value =
+          Stats.median
+            (List.map
+               (fun r -> r.seconds *. if raw then 1. else Calib.scale r.reference)
+               runs);
+      };
+      { name = "req_per_s"; unit = "1/s"; value = block_rate wl ~scale records problems };
+      { name = "solve_ms"; unit = "ms"; value = solve_ms ~scale records problems };
+      {
+        name = "cpu_ms_per_req";
+        unit = "ms";
+        value =
+          Stats.median (List.init (attempted / p) block_cpu) *. 1000. /. float_of_int p;
+      };
       { name = "rss_mb"; unit = "MiB"; value = rss };
     ]
   in
+  let measured = e2e ~raw:true (ref []) in
+  let e2e = e2e ~raw:false problems in
   (* printed only where the workload has the samples the tail rule needs *)
   let optional name p xs =
     match Stats.percentile ~p (List.map (fun s -> s *. 1000.) xs) with
@@ -329,7 +406,9 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
     | Error _ -> []
   in
   let extra =
-    optional "solve_p95_ms" 0.95 solves
+    optional "solve_p50_ms" 0.50 solves
+    @ optional "solve_p90_ms" 0.90 solves
+    @ optional "solve_p95_ms" 0.95 solves
     @ optional "solve_p99_ms" 0.99 solves
     @ optional "count_p50_ms" 0.50 (lat is_count)
     @ optional "edit_p50_ms" 0.50 (lat is_edit)
@@ -353,8 +432,15 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   say "  set-ups (s): %s"
     (String.concat " " (List.map (fun r -> Printf.sprintf "%.4f" r.seconds) runs));
   stats_report s0 s1;
-  print_metrics "end-to-end (closed loop, 2 connections, phomd --jobs 2):" e2e;
-  print_metrics "also measured (not every workload has them):" extra;
+  let refs = List.map (fun r -> 1000. *. r.reference) records in
+  say "reference work: median %.4f ms (%.4f-%.4f) over the window; timings below are scaled to %.1f ms"
+    (Stats.median refs)
+    (List.fold_left Float.min infinity refs)
+    (List.fold_left Float.max 0. refs)
+    Calib.reference_ms;
+  print_metrics "as measured (closed loop, 1 connection, phomd --jobs 2):" measured;
+  print_metrics "end-to-end, at the reference machine's speed:" e2e;
+  print_metrics "also measured, unscaled (not every workload has them):" extra;
   List.iter (fun e -> say "FAILED %s" e) (List.rev !failures);
   List.iter (fun e -> say "UNSUPPORTED %s" e) !problems;
   let correct = !failures = [] && !problems = [] && attempted > 0 in
@@ -364,6 +450,7 @@ let timed ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
 
 let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   let su = setup ~phomd wl ~dir ~files 0 in
+  List.iter (fun ((s : W.step), r) -> expect_ok s.W.line r) (ask su.c wl.W.lead_in);
   let pool = Pool.create ~domains:2 () in
   let cache_bytes = wl.W.cache_mb * 1024 * 1024 in
   (* A: the traced catalog; B: an untraced daemon state; both warmed like
@@ -372,7 +459,7 @@ let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
     if wl.W.state_dir then begin
       let jdir = Filename.concat dir "trace-journal" in
       mkdir_p jdir;
-      match Journal.open_append ~path:(Filename.concat jdir "state.journal") ~fsync:Journal.Interval with
+      match Journal.open_append ~path:(Filename.concat jdir "state.journal") ~fsync:Journal.Never with
       | Ok j -> Some j
       | Error e -> failwith e
     end
@@ -385,6 +472,7 @@ let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
         Daemon.default_config with
         Daemon.jobs = 2;
         cache_bytes;
+        fsync = Journal.Never;
         state_dir = (if wl.W.state_dir then Some (Filename.concat dir "trace-state") else None);
       }
   in
@@ -400,7 +488,7 @@ let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
     (fun (s : W.step) ->
       ignore (Trace.run a ~id:(-1) s.W.line);
       ignore (exec s.W.line))
-    wl.W.warmup;
+    (wl.W.warmup @ wl.W.lead_in);
   let pings =
     List.init 200 (fun _ ->
         let t = now () in
@@ -420,7 +508,7 @@ let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   let t0 = now () in
   let rows = ref [] and n = ref 0 in
   while now () -. t0 < seconds do
-    let s = W.trace_step wl !n in
+    let s = W.nth wl !n in
     let traced () =
       Trace.recording := true;
       let r = Trace.run a ~id:!n s.W.line in
@@ -450,7 +538,7 @@ let traced ~phomd ~seed ~seconds (wl : W.t) ~dir ~files =
   let s1 = S.stats su.c in
   let n = !n in
   let rows = List.rev !rows in
-  let steps = List.init n (W.trace_step wl) in
+  let steps = List.init n (W.nth wl) in
   let traced_replies = List.map (fun (x, _, _) -> x) rows in
   let untraced = List.map (fun (_, y, _) -> y) rows in
   let socket = List.map (fun (_, _, z) -> z) rows in

@@ -56,6 +56,23 @@ let peak_rss_mb d =
       in
       go ())
 
+(* CPU time the child has used so far, in seconds: the sum over its
+   threads (its domains among them) of the scheduler's run time *)
+let cpu_seconds d =
+  let dir = Printf.sprintf "/proc/%d/task" d.pid in
+  Array.fold_left
+    (fun acc task ->
+      match open_in (Printf.sprintf "%s/%s/schedstat" dir task) with
+      | exception Sys_error _ -> acc (* a thread that just exited *)
+      | ic ->
+          let ns =
+            Fun.protect
+              ~finally:(fun () -> close_in ic)
+              (fun () -> Scanf.sscanf (input_line ic) "%f" Fun.id)
+          in
+          acc +. (ns /. 1e9))
+    0. (Sys.readdir dir)
+
 (* ---- connections ---- *)
 
 type conn = { fd : Unix.file_descr; buf : Buffer.t }

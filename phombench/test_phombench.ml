@@ -51,7 +51,8 @@ let test_reply () =
   check "error reply" (not (Reply.parse "error busy retry-after=1").Reply.ok)
 
 (* the toggles stay inside their pool and never add a present edge or
-   delete an absent one, on the stream the benchmark really sends *)
+   delete an absent one, on the warm-up, lead-in and stream the benchmark
+   really sends *)
 let test_toggles () =
   let rng = Random.State.make [| 7 |] in
   let g = Phom_graph.Generators.erdos_renyi ~rng ~n:30 ~m:60 ~labels:(fun _ -> "L") in
@@ -72,18 +73,20 @@ let test_toggles () =
   let graphs = Hashtbl.create 8 in
   List.iter (fun (n, g) -> Hashtbl.replace graphs n g) wl.W.graphs;
   let ok = ref true in
-  for conn = 0 to 1 do
-    for i = 0 to 200 do
-      match (wl.W.stream ~conn i).W.op with
-      | W.Toggle { graph; add; v; w; edges_after } ->
-          let g = Hashtbl.find graphs graph in
-          if not (Array.mem (v, w) (List.assoc graph wl.W.pools)) then ok := false;
-          if add = D.has_edge g v w then ok := false;
-          let g = if add then D.add_edge g v w else D.remove_edge g v w in
-          if D.nb_edges g <> edges_after then ok := false;
-          Hashtbl.replace graphs graph g
-      | W.Query _ -> ()
-    done
+  let apply (step : W.step) =
+    match step.W.op with
+    | W.Toggle { graph; add; v; w; edges_after } ->
+        let g = Hashtbl.find graphs graph in
+        if not (Array.mem (v, w) (List.assoc graph wl.W.pools)) then ok := false;
+        if add = D.has_edge g v w then ok := false;
+        let g = if add then D.add_edge g v w else D.remove_edge g v w in
+        if D.nb_edges g <> edges_after then ok := false;
+        Hashtbl.replace graphs graph g
+    | W.Query _ -> ()
+  in
+  List.iter apply (wl.W.warmup @ wl.W.lead_in);
+  for i = 0 to 400 do
+    apply (W.nth wl i)
   done;
   check "edit-stream edits are always applicable" !ok
 
@@ -112,7 +115,9 @@ let test_oracle () =
           mats = [];
           pools = [];
           warmup = [];
+          lead_in = [];
           stream = (fun ~conn:_ _ -> W.query_step q);
+          period = 1;
         }
       in
       let o = Oracle.create wl ~files:[ ("p", f1); ("d", f2) ] in

@@ -1,7 +1,15 @@
 (* The four served workloads: the inputs each one generates from its seed,
    and the request streams the closed loop sends. Every request is a pure
-   function of (workload, seed, connection, position), so a timed run, the
+   function of (workload, seed, stream, position), so a timed run, the
    traced replay and the oracle all agree on what was asked.
+
+   The graphs, the matrices and each stream's cycle of requests come from
+   a fixed instance seed; the run seed picks where in their cycles the
+   streams start, the same point for both. A seed therefore never picks a
+   workload's speed: every seed sends the same cycle of requests, in the
+   same interleaving, entered at another point. (Streams entered at
+   different points would interleave differently, and a solve's cost
+   depends on the request before it on the same pair.)
 
    Why each workload exists is written down in README.md next to this
    file; the sizes below are the ones that document justifies. *)
@@ -40,7 +48,13 @@ type t = {
   pools : (string * (int * int) array) list;
       (** edit-stream: per data graph, the edges its edits toggle, in order *)
   warmup : step list;  (** run once at set-up, before the timed window *)
-  stream : conn:int -> int -> step;  (** the [i]-th request of a connection *)
+  lead_in : step list;
+      (** run after set-up and before the window, untimed: takes the
+          daemon's state to where the run seed starts the streams *)
+  stream : conn:int -> int -> step;  (** the [i]-th request of stream [conn] (0 or 1) *)
+  period : int;
+      (** every [period] consecutive requests of {!nth} are the same work in
+          another order: one whole cycle of both streams *)
 }
 
 let names = [ "warm-serve"; "cache-churn"; "exact-tier"; "edit-stream" ]
@@ -71,6 +85,9 @@ let query ?(exact = false) ?(phase = 0) ?problem ~sim ~xi g1 g2 =
 
 let rng seed tag = Random.State.make [| seed; tag |]
 
+(* the seed every workload's graphs and matrices are drawn from *)
+let instance_seed = 5
+
 let shuffle rng a =
   let a = Array.copy a in
   for i = Array.length a - 1 downto 1 do
@@ -81,12 +98,16 @@ let shuffle rng a =
   done;
   a
 
-(* one permutation of [items] per connection, cycled *)
+(* where in a cycle of [len] the streams start, for the run seed *)
+let start ~seed ~tag len = Random.State.int (rng seed tag) len
+
+(* a fixed permutation of each stream's [items] (both of one length),
+   cycled from the start the run seed picks *)
 let cycled ~seed ~tag items =
-  let perms = Array.init 2 (fun c -> shuffle (rng seed (tag + c)) items) in
-  fun ~conn i ->
-    let p = perms.(conn) in
-    p.(i mod Array.length p)
+  let len = Array.length items.(0) in
+  let perms = Array.mapi (fun c xs -> shuffle (rng instance_seed (tag + c)) xs) items in
+  let first = start ~seed ~tag len in
+  fun ~conn i -> perms.(conn).((first + i) mod len)
 
 (* a Section-6 pattern/data pair: m nodes and 4m edges, data derived by
    subdividing and decorating the pattern at the given noise *)
@@ -120,7 +141,7 @@ let fig5_pair ~seed ~tag ~m =
 
 let warm_serve ~seed =
   let ms = [ 25; 50; 100; 200 ] in
-  let pairs = List.map (fun m -> (m, fig5_pair ~seed ~tag:100 ~m)) ms in
+  let pairs = List.map (fun m -> (m, fig5_pair ~seed:instance_seed ~tag:100 ~m)) ms in
   let combos =
     Array.of_list
       (List.concat_map
@@ -133,7 +154,7 @@ let warm_serve ~seed =
                 problems))
          ms)
   in
-  let next = cycled ~seed ~tag:110 combos in
+  let next = cycled ~seed ~tag:110 [| combos; combos |] in
   {
     name = "warm-serve";
     cache_mb = 256;
@@ -146,7 +167,9 @@ let warm_serve ~seed =
     mats = [];
     pools = [];
     warmup = Array.to_list (Array.map query_step combos);
+    lead_in = [];
     stream = (fun ~conn i -> query_step (next ~conn i));
+    period = 2 * Array.length combos;
   }
 
 (* ---- cache-churn ---- *)
@@ -156,7 +179,7 @@ let churn_graphs = 8
 let cache_churn ~seed =
   let data =
     List.init churn_graphs (fun j ->
-        let rng = rng seed (200 + j) in
+        let rng = rng instance_seed (200 + j) in
         ( Printf.sprintf "d%d" j,
           G.preferential_attachment ~rng ~n:3000 ~out:3 ~labels:(fun _ ->
               G.label_name (Random.State.int rng 100)) ))
@@ -164,7 +187,7 @@ let cache_churn ~seed =
   (* m = 20 draws labels from the same 100-label pool as the data graphs *)
   let patterns =
     List.init churn_graphs (fun i ->
-        (Printf.sprintf "p%d" i, fst (G.paper_pattern ~rng:(rng seed (220 + i)) ~m:20)))
+        (Printf.sprintf "p%d" i, fst (G.paper_pattern ~rng:(rng instance_seed (220 + i)) ~m:20)))
   in
   let combos =
     Array.of_list
@@ -175,7 +198,10 @@ let cache_churn ~seed =
              data)
          patterns)
   in
-  let next = cycled ~seed ~tag:240 combos in
+  (* each stream takes half the patterns against every data graph, so a
+     block of both streams' cycles is every pair once *)
+  let half = Array.length combos / 2 in
+  let next = cycled ~seed ~tag:240 [| Array.sub combos 0 half; Array.sub combos half half |] in
   {
     name = "cache-churn";
     cache_mb = 2;
@@ -188,7 +214,9 @@ let cache_churn ~seed =
           query_step
             (query ~problem:Api.CPH ~sim:Equality ~xi:0.5 (Printf.sprintf "p%d" j)
                (Printf.sprintf "d%d" j)));
+    lead_in = [];
     stream = (fun ~conn i -> query_step (next ~conn i));
+    period = Array.length combos;
   }
 
 (* ---- exact-tier ---- *)
@@ -215,11 +243,8 @@ let exact_patterns =
    search size swings by three orders of magnitude between random
    instances (most random 11-node trees blow past 200k steps). Each pattern
    slot redraws until the budget steps of its four exact solves (a
-   deterministic count) land in this band, and the instances come from a
-   fixed calibration seed: no run seed may pick the tier's speed. The run
-   seed orders the requests and walks the count grid. *)
-let calibration_seed = 5
-
+   deterministic count) land in this band. The run seed orders the requests
+   and walks the count grid. *)
 let steps_band = (60_000, 120_000)
 
 let exact_steps g1 g2 mat =
@@ -265,7 +290,7 @@ let count_grid = Array.init 40 (fun i -> xi_of (0.40 +. (0.01 *. float_of_int i)
 
 let exact_tier ~seed =
   let pairs =
-    List.mapi (fun i s -> (i, s, exact_pair ~seed:calibration_seed i s)) exact_patterns
+    List.mapi (fun i s -> (i, s, exact_pair ~seed:instance_seed i s)) exact_patterns
   in
   let nm fmt i = Printf.sprintf fmt i in
   let solve i p =
@@ -282,14 +307,16 @@ let exact_tier ~seed =
       (List.map (fun q -> `Solve q) solves
       @ List.map (fun (i, _, _) -> `Count i) pairs)
   in
-  let perms = Array.init 2 (fun c -> shuffle (rng seed (310 + c)) slots) in
+  let len = Array.length slots in
+  let perms = Array.init 2 (fun c -> shuffle (rng instance_seed (310 + c)) slots) in
+  let first = start ~seed ~tag:310 len in
   let stream ~conn i =
-    let len = Array.length slots in
-    match perms.(conn).(i mod len) with
+    let k = first + i in
+    match perms.(conn).(k mod len) with
     | `Solve q -> query_step q
     | `Count p ->
-        let cycle = i / len in
-        let xi = count_grid.(((2 * cycle) + conn + seed) mod Array.length count_grid) in
+        let cycle = k / len in
+        let xi = count_grid.(((2 * cycle) + conn) mod Array.length count_grid) in
         query_step (query ~sim:(Mat (nm "m%d" p)) ~xi (nm "t%d" p) (nm "x%d" p))
   in
   {
@@ -301,7 +328,9 @@ let exact_tier ~seed =
     mats = List.map (fun (i, _, (_, _, m)) -> (nm "m%d" i, m)) pairs;
     pools = [];
     warmup = List.map query_step solves;
+    lead_in = [];
     stream;
+    period = 2 * len;
   }
 
 (* ---- edit-stream ---- *)
@@ -342,8 +371,11 @@ let edit_pool ~rng g =
 
 let edit_stream ~seed =
   let ms = [| 50; 100; 150; 200 |] in
-  let pairs = Array.map (fun m -> fig5_pair ~seed ~tag:400 ~m) ms in
-  let pools = Array.mapi (fun i (_, g2) -> edit_pool ~rng:(rng seed (450 + i)) g2) pairs in
+  let pairs = Array.map (fun m -> fig5_pair ~seed:instance_seed ~tag:400 ~m) ms in
+  let pools = Array.mapi (fun i (_, g2) -> edit_pool ~rng:(rng instance_seed (450 + i)) g2) pairs in
+  (* the toggle phase every pair's stream starts at; the lead-in takes the
+     pairs there *)
+  let first = start ~seed ~tag:460 (2 * pool_size) in
   let pname i = Printf.sprintf "ep%d" ms.(i) and dname i = Printf.sprintf "ed%d" ms.(i) in
   (* the j-th visit of pair [i]: toggle j, then re-solve at the new phase *)
   let visit i j =
@@ -355,11 +387,20 @@ let edit_stream ~seed =
       query_step
         (query ~phase ~problem:problems.(j mod 4) ~sim:Shingles ~xi:0.5 (pname i) (dname i)) )
   in
-  (* each connection owns two pairs, so edits on one graph never race *)
+  let visits js =
+    List.concat
+      (List.init 4 (fun i ->
+           List.concat_map
+             (fun j ->
+               let e, s = visit i j in
+               [ e; s ])
+             (js i)))
+  in
+  (* each stream owns two pairs *)
   let stream ~conn i =
     let r = i / 2 in
     let pair = (2 * (r mod 2)) + conn in
-    let edit, solve = visit pair (r / 2) in
+    let edit, solve = visit pair (first + (r / 2)) in
     if i mod 2 = 0 then edit else solve
   in
   {
@@ -371,16 +412,14 @@ let edit_stream ~seed =
         (List.init 4 (fun i -> [ (pname i, fst pairs.(i)); (dname i, snd pairs.(i)) ]));
     mats = [];
     pools = List.init 4 (fun i -> (dname i, pools.(i)));
-    (* one full toggle cycle per pair: every phase's artifacts get built,
-       and every graph ends back at phase 0 *)
-    warmup =
-      List.concat
-        (List.init 4 (fun i ->
-             List.concat
-               (List.init (2 * pool_size) (fun j ->
-                    let e, s = visit i j in
-                    [ e; s ]))));
+    (* one full toggle cycle per pair, so every phase's artifacts get
+       built and the pairs are back at phase 0 *)
+    warmup = visits (fun _ -> List.init (2 * pool_size) Fun.id);
+    lead_in = visits (fun _ -> List.init first (fun j -> (2 * pool_size) + j));
     stream;
+    (* a stream visits its two pairs alternately, edit then solve, and a
+       pair repeats after a whole toggle cycle *)
+    period = 2 * 2 * 2 * (2 * pool_size);
   }
 
 let make ~seed = function
@@ -390,5 +429,5 @@ let make ~seed = function
   | "edit-stream" -> edit_stream ~seed
   | w -> invalid_arg ("unknown workload " ^ w ^ " (expected " ^ String.concat ", " names ^ ")")
 
-(* the traced replay walks both connections' streams interleaved *)
-let trace_step t i = t.stream ~conn:(i mod 2) (i / 2)
+(* the [i]-th request a run sends: both streams interleaved *)
+let nth t i = t.stream ~conn:(i mod 2) (i / 2)
