@@ -1,8 +1,8 @@
 .PHONY: all build check test bench bench-full bench-parallel bench-serve \
 	bench-obs bench-recovery bench-exact bench-exact-baseline bench-dp \
 	bench-dp-baseline bench-incr bench-incr-baseline bench-fleet serve-smoke \
-	serve-smoke-faults chaos-smoke fleet-smoke ablations micro examples fmt \
-	fmt-check ci clean
+	serve-smoke-faults chaos-smoke fleet-smoke phombench-smoke ablations micro \
+	examples fmt fmt-check ci clean
 
 # worker domains for the parallel runtime; passed through to the bench
 # harness (the CLI takes its own --jobs flag)
@@ -100,6 +100,13 @@ chaos-smoke:
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
+# the repository benchmark's oracle against a real phomd: every workload
+# for a short window plus one traced run; fails unless every answer checks
+# out ("correct": true, "failed": 0) — the same flow as the CI
+# phombench-smoke job
+phombench-smoke:
+	sh scripts/phombench_smoke.sh
+
 # routed p50/p99 against 1 vs 3 replicas plus the kill -9 failover blip;
 # fails when any routed request errors or the blip exceeds its bound
 bench-fleet:
@@ -149,6 +156,7 @@ ci:
 	dune exec bench/main.exe -- recovery --out BENCH_recovery.json
 	sh scripts/fleet_smoke.sh
 	dune exec bench/main.exe -- fleet --out BENCH_fleet.json
+	sh scripts/phombench_smoke.sh
 	dune exec bench/main.exe -- exact --out BENCH_exact.json \
 		--check-against bench/baselines/BENCH_exact.json
 	dune exec bench/main.exe -- dp --out BENCH_dp.json \

@@ -42,9 +42,11 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the shared solving pool. $(b,--jobs 1) \
-              (the default) answers every request sequentially, \
-              bit-identical to the CLI.")
+        ~doc:"Domains in the shared solving pool, the event loop's own \
+              included. The loop never runs a solve, so $(docv)-1 workers \
+              run solves and their fan-out: $(b,--jobs 2) serves one solve \
+              at a time. $(b,--jobs 1) (the default) runs each solve on \
+              the loop's domain, sequentially, bit-identical to the CLI.")
 
 let cache_mb_arg =
   Arg.(

@@ -159,11 +159,10 @@ let map t f items =
 
 let map_list t f items = Array.to_list (map t f (Array.of_list items))
 
-(* Single-task submission, used by the matching daemon's accept loop: a
-   request becomes one pool job and the loop blocks on [await] (so the
-   request is bounded by its own budget, not the loop's). A future's state
-   cell is guarded by its own mutex — the submitting domain and the worker
-   that runs the task are the only parties. *)
+(* Single-task submission, used by the matching daemon: a request becomes
+   one pool job, bounded by its own budget rather than the loop's. A
+   future's state cell is guarded by its own mutex — the submitting domain
+   and the worker that runs the task are the only parties. *)
 
 type 'a future = {
   flock : Mutex.t;
@@ -218,15 +217,6 @@ let await fut =
   | Done v -> v
   | Raised e -> raise e
   | Pending -> assert false
-
-let peek fut =
-  Mutex.lock fut.flock;
-  let outcome = fut.state in
-  Mutex.unlock fut.flock;
-  match outcome with
-  | Pending -> None
-  | Done v -> Some v
-  | Raised e -> raise e
 
 let both t fa fb =
   match

@@ -49,9 +49,9 @@ val submit : t -> (unit -> 'a) -> 'a future
 (** [submit pool f] schedules [f] as one task on the pool and returns
     immediately. On a pool of size 1 (or a shut-down pool) [f] runs in the
     caller before [submit] returns. This is the seam the matching daemon
-    uses: its accept loop turns each request into a pool job and blocks on
-    {!await}, so a request is bounded by its own budget rather than by the
-    loop.
+    uses: each solve or count request becomes one pool job, which its
+    event loop polls and an in-process caller {!await}s, so a request is
+    bounded by its own budget rather than by the loop.
 
     Submit from the domain that created the pool (or from inside a pool
     task). A task must not {!await} a future submitted {e after} itself —
@@ -63,13 +63,6 @@ val await : 'a future -> 'a
     exception. Safe to call from any domain and more than once. If the pool
     is shut down before the task was started, {!shutdown} runs the task in
     the shutting-down caller, so [await] never hangs. *)
-
-val peek : 'a future -> 'a option
-(** Non-blocking {!await}: [Some v] once the task has completed with [v],
-    [None] while it is still pending (or queued); re-raises the task's
-    exception if it failed. Safe from any domain and any number of times.
-    This is the seam the multiplexed daemon loop uses to poll in-flight
-    solves from [select] without blocking the other connections. *)
 
 val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** [both pool fa fb] evaluates the two thunks, possibly in parallel, and

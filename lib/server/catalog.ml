@@ -331,6 +331,12 @@ let pin_mat t name =
       | None ->
           Error (Printf.sprintf "unknown matrix %s (load it first)" name))
 
+(* a named matrix is pinned alongside the graphs, so a job never mixes a
+   pre-edit graph with a matrix reloaded after its unload *)
+let pin_sim t = function
+  | Named n -> Result.map Option.some (pin_mat t n)
+  | Equality | Shingles -> Ok None
+
 let graph t name = Result.map (fun p -> p.pin_graph) (pin t name)
 let mat t name = Result.map fst (pin_mat t name)
 
@@ -481,15 +487,9 @@ let similarity_pinned ?matv t ~p1 ~p2 ~sim =
           Ok (m, Miss))
 
 let similarity t ~g1 ~g2 ~sim =
-  match (pin t g1, pin t g2) with
-  | (Error _ as e), _ | _, (Error _ as e) -> e
-  | Ok p1, Ok p2 -> (
-      match sim with
-      | Named n -> (
-          match pin_mat t n with
-          | Error _ as e -> e
-          | Ok mv -> similarity_pinned ~matv:mv t ~p1 ~p2 ~sim)
-      | Equality | Shingles -> similarity_pinned t ~p1 ~p2 ~sim)
+  match (pin t g1, pin t g2, pin_sim t sim) with
+  | Ok p1, Ok p2, Ok matv -> similarity_pinned ?matv t ~p1 ~p2 ~sim
+  | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
 
 (* the pair signature: which loaded content a candidate table (or count)
    was derived from. A weak component is relevant when it contains a node
@@ -548,24 +548,36 @@ let candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops =
       Miss
 
 let candidates ?budget t ~instance ~g1 ~g2 ~sim ~hops =
-  let pins =
-    match (pin t g1, pin t g2) with
-    | Ok p1, Ok p2 -> (
-        match sim with
-        | Named n -> (
-            match pin_mat t n with
-            | Ok mv -> Some (p1, p2, Some mv)
-            | Error _ -> None)
-        | Equality | Shingles -> Some (p1, p2, None))
-    | _ -> None
-  in
-  match pins with
-  | Some (p1, p2, matv) ->
+  match (pin t g1, pin t g2, pin_sim t sim) with
+  | Ok p1, Ok p2, Ok matv ->
       candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops
-  | None ->
+  | _ ->
       (* a graph vanished mid-call: answer from the instance, cache nothing *)
       ignore (Phom.Instance.candidates instance);
       Miss
+
+(* the artifact chain, written once: every solve and count job and every
+   replayed cands/count key derives its instance here *)
+let instance_pinned ?budget ?matv t ~p1 ~p2 ~sim ~hops ~xi =
+  let tc2, closure_prov = closure_pinned ?budget t ~pin:p2 ~hops in
+  match similarity_pinned ?matv t ~p1 ~p2 ~sim with
+  | Error _ as e -> e
+  | Ok (mat, mat_prov) -> (
+      match
+        Phom.Instance.make ~tc2 ~g1:p1.pin_graph ~g2:p2.pin_graph ~mat ~xi ()
+      with
+      | exception Invalid_argument m -> Error m
+      | instance ->
+          let cands_prov =
+            candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops
+          in
+          Ok
+            ( instance,
+              [
+                ("closure", closure_prov);
+                ("mat", mat_prov);
+                ("cands", cands_prov);
+              ] ))
 
 (* the count verb's answer is itself a (tiny) cacheable artifact: the DP
    is deterministic, so a completed count for the same key is the answer.
@@ -592,23 +604,6 @@ let count_pinned ?budget ?pool ?matv t ~instance ~p1 ~p2 ~sim ~hops =
                width = r.Phom.Dp.width;
              });
       (r, Miss)
-
-let count ?budget ?pool t ~instance ~g1 ~g2 ~sim ~hops =
-  let pins =
-    match (pin t g1, pin t g2) with
-    | Ok p1, Ok p2 -> (
-        match sim with
-        | Named n -> (
-            match pin_mat t n with
-            | Ok mv -> Some (p1, p2, Some mv)
-            | Error _ -> None)
-        | Equality | Shingles -> Some (p1, p2, None))
-    | _ -> None
-  in
-  match pins with
-  | Some (p1, p2, matv) ->
-      count_pinned ?budget ?pool ?matv t ~instance ~p1 ~p2 ~sim ~hops
-  | None -> (Phom.Api.count ?budget ?pool instance, Miss)
 
 (* ---- single-edge edits ---- *)
 
@@ -850,44 +845,26 @@ let restore_record t (r : Persist.record) =
    replayed catalog's current signatures, which is where the state has
    converged by this point of the replay. *)
 let warm t key =
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
+  let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v in
+  let sim_of s =
+    Option.to_result ~none:(s ^ ": unknown similarity kind") (sim_of_string s)
+  in
   match key with
-  | K_closure (name, _, hops) -> (
-      match closure t ~name ~hops with Ok _ -> Ok () | Error e -> Error e)
-  | K_matrix (g1, g2, sim_s, _) -> (
-      match sim_of_string sim_s with
-      | None -> Error (sim_s ^ ": unknown similarity kind")
-      | Some sim -> (
-          match similarity t ~g1 ~g2 ~sim with
-          | Ok _ -> Ok ()
-          | Error e -> Error e))
-  | K_cands (g1, g2, sim_s, hops, xi, _) -> (
-      match sim_of_string sim_s with
-      | None -> Error (sim_s ^ ": unknown similarity kind")
-      | Some sim -> (
-          let* ga = graph t g1 in
-          let* gb = graph t g2 in
-          let* tc2, _ = closure t ~name:g2 ~hops in
-          let* mat, _ = similarity t ~g1 ~g2 ~sim in
-          match Phom.Instance.make ~tc2 ~g1:ga ~g2:gb ~mat ~xi () with
-          | instance ->
-              ignore (candidates t ~instance ~g1 ~g2 ~sim ~hops);
-              Ok ()
-          | exception Invalid_argument m -> Error m))
-  | K_count (g1, g2, sim_s, hops, xi, _) -> (
-      match sim_of_string sim_s with
-      | None -> Error (sim_s ^ ": unknown similarity kind")
-      | Some sim -> (
-          let* ga = graph t g1 in
-          let* gb = graph t g2 in
-          let* tc2, _ = closure t ~name:g2 ~hops in
-          let* mat, _ = similarity t ~g1 ~g2 ~sim in
-          match Phom.Instance.make ~tc2 ~g1:ga ~g2:gb ~mat ~xi () with
-          | instance ->
-              ignore (candidates t ~instance ~g1 ~g2 ~sim ~hops);
-              ignore (count t ~instance ~g1 ~g2 ~sim ~hops);
-              Ok ()
-          | exception Invalid_argument m -> Error m))
+  | K_closure (name, _, hops) -> Result.map ignore (closure t ~name ~hops)
+  | K_matrix (g1, g2, sim_s, _) ->
+      let* sim = sim_of sim_s in
+      Result.map ignore (similarity t ~g1 ~g2 ~sim)
+  | K_cands (g1, g2, sim_s, hops, xi, _) | K_count (g1, g2, sim_s, hops, xi, _)
+    ->
+      let* sim = sim_of sim_s in
+      let* p1 = pin t g1 in
+      let* p2 = pin t g2 in
+      let* matv = pin_sim t sim in
+      let* instance, _ = instance_pinned ?matv t ~p1 ~p2 ~sim ~hops ~xi in
+      (match key with
+      | K_count _ -> ignore (count_pinned ?matv t ~instance ~p1 ~p2 ~sim ~hops)
+      | K_closure _ | K_matrix _ | K_cands _ -> ());
+      Ok ()
 
 let apply_event t = function
   | Journal.Load_graph { name; path; crc } -> (

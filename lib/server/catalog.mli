@@ -158,6 +158,10 @@ val pin_mat : t -> string -> (Phom_sim.Simmat.t * string, string) result
 (** A named matrix and its content CRC (matrices are immutable, so the
     value itself is the snapshot). *)
 
+val pin_sim : t -> sim -> ((Phom_sim.Simmat.t * string) option, string) result
+(** {!pin_mat} for a [Named] similarity, [None] for a computed one — the
+    [matv] the [_pinned] functions below take. *)
+
 (** {1 Cached artifacts} *)
 
 type provenance = Hit | Miss | Catalog
@@ -232,6 +236,24 @@ val candidates :
 (** {!candidates_pinned} against pins taken now; if a name vanished
     mid-call the instance still gets its table but nothing is cached. *)
 
+val instance_pinned :
+  ?budget:Phom_graph.Budget.t ->
+  ?matv:Phom_sim.Simmat.t * string ->
+  t ->
+  p1:pin ->
+  p2:pin ->
+  sim:sim ->
+  hops:int option ->
+  xi:float ->
+  (Phom.Instance.t * (string * provenance) list, string) result
+(** The artifact chain every daemon solve and count (and every replayed
+    candidate or count key) derives its instance through:
+    {!closure_pinned} of [p2], {!similarity_pinned}, the instance at [xi],
+    then {!candidates_pinned}, which primes it. Returns the instance and
+    the chain's provenance as [[("closure", _); ("mat", _); ("cands", _)]],
+    the order a reply's [cache=] field prints. [Error] when the similarity
+    fails its dimension check or the instance cannot be built. *)
+
 val count_pinned :
   ?budget:Phom_graph.Budget.t ->
   ?pool:Phom_parallel.Pool.t ->
@@ -248,18 +270,6 @@ val count_pinned :
     tree-decomposition DP runs under [budget]; only a [Complete] run is
     cached, so a hit can honestly report [Complete]. A tripped run returns
     its anytime [count = 0] result and is never inserted. *)
-
-val count :
-  ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
-  t ->
-  instance:Phom.Instance.t ->
-  g1:string ->
-  g2:string ->
-  sim:sim ->
-  hops:int option ->
-  Phom.Dp.count_result * provenance
-(** {!count_pinned} against pins taken now. *)
 
 val cache_stats : t -> Lru.stats
 val clear_cache : t -> unit

@@ -71,7 +71,7 @@ type persist = {
 type state = {
   config : config;
   catalog : Catalog.t;
-  pool : Pool.t option;  (** borrowed; None = sequential daemon *)
+  pool : Pool.t;  (** borrowed; size 1 runs every job in the submitter *)
   persist : persist option;  (** None = ephemeral daemon (no --state-dir) *)
   mutable draining : bool;  (** the loop's drain, surfaced through health *)
   mutable requests : int;
@@ -246,7 +246,12 @@ let recover catalog ~dir ~fsync =
   | Error _ -> p.persist_errors <- p.persist_errors + 1);
   p
 
-let make_state ?pool config =
+(* a size-1 pool is the sequential code path of every pool seam: jobs
+   submitted to it run in the submitter. It serves [--jobs 1] requests and
+   states made without a pool. *)
+let sequential_pool = Pool.create ~domains:1 ()
+
+let make_state ?(pool = sequential_pool) config =
   let catalog =
     Catalog.create ~max_graph_bytes:config.max_graph_bytes
       ~max_mat_bytes:config.max_mat_bytes ~cache_bytes:config.cache_bytes ()
@@ -389,13 +394,6 @@ let budget_for st ~timeout ~steps =
   in
   (budget, fun () -> Atomic.set flag true)
 
-(* a named matrix is pinned alongside the graphs, so a job never mixes a
-   pre-edit graph with a matrix reloaded after its unload *)
-let pin_sim st (sim : Catalog.sim) =
-  match sim with
-  | Catalog.Named n -> Result.map Option.some (Catalog.pin_mat st.catalog n)
-  | Catalog.Equality | Catalog.Shingles -> Ok None
-
 (* the warm-start store is keyed by request shape WITHOUT content
    signatures: that is the point — after an edit the shape is unchanged,
    so the previous answer is recalled and repaired into a seed *)
@@ -407,237 +405,183 @@ let solve_key (s : Protocol.solve) =
     s.Protocol.xi
     (match s.Protocol.hops with None -> "full" | Some k -> string_of_int k)
 
-(* split one solve request into what must run on the loop's domain (name
-   resolution, snapshot pinning, budget anchoring at receipt) and the job
-   proper, which a pool worker executes; [cancel] budget-trips the job
-   from outside. Pinning at prepare is the edit/unload race fix: the job
-   computes against the pinned snapshot and keys artifacts against its
-   signatures, so a catalog mutation mid-flight makes lookups miss rather
-   than serve mismatched state. *)
-let prepare_solve st (s : Protocol.solve) =
+(* a request as [prepare] stages it: a reply made inline on the loop's
+   domain, or a job — [run] computes the reply on a pool worker, [cancel]
+   budget-trips it from outside (a drain, a vanished peer) *)
+type job = { cancel : unit -> unit; run : unit -> string }
+type prepared = Reply of string | Job of job
+
+(* the front every engine request shares, split over the two phases. At
+   receipt, on the loop's domain: pin the names and anchor the budget.
+   Pinning at receipt is the edit/unload race fix: the job computes
+   against the pinned snapshot and keys artifacts against its signatures,
+   so a catalog mutation mid-flight makes lookups miss rather than serve
+   mismatched state. In the job: the artifact chain, then [tail] — the
+   engine and its reply. *)
+let engine_job st ~g1 ~g2 ~sim ~hops ~xi ~timeout ~steps ~sequential tail =
   let ( let* ) r f =
-    match r with Error e -> Error (error "%s" e) | Ok v -> f v
+    match r with Error e -> Reply (error "%s" e) | Ok v -> f v
   in
-  let* p1 = Catalog.pin st.catalog s.Protocol.g1 in
-  let* p2 = Catalog.pin st.catalog s.Protocol.g2 in
-  let* matv = pin_sim st s.Protocol.sim in
-  let wkey = solve_key s in
-  let warm_start = Catalog.recall_solution st.catalog ~key:wkey in
+  let* p1 = Catalog.pin st.catalog g1 in
+  let* p2 = Catalog.pin st.catalog g2 in
+  let* matv = Catalog.pin_sim st.catalog sim in
   (* the budget is anchored at request receipt: artifact building, solving
      and reply formatting all draw on the same allowance *)
-  let budget, cancel =
-    budget_for st ~timeout:s.Protocol.timeout ~steps:s.Protocol.steps
-  in
-  let pool = if s.Protocol.sequential then None else st.pool in
-  let job () =
+  let budget, cancel = budget_for st ~timeout ~steps in
+  (* a [--jobs 1] request computes without fan-out *)
+  let pool = if sequential then sequential_pool else st.pool in
+  let run () =
     Faults.solve_delay ();
-    let ( let* ) r f = match r with Error e -> error "%s" e | Ok v -> f v in
-    let g1 = p1.Catalog.pin_graph and g2 = p2.Catalog.pin_graph in
-    let tc2, closure_prov =
-      Catalog.closure_pinned ~budget st.catalog ~pin:p2 ~hops:s.Protocol.hops
-    in
-    let* mat, mat_prov =
-      Catalog.similarity_pinned ?matv st.catalog ~p1 ~p2 ~sim:s.Protocol.sim
-    in
-    let t = Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi:s.Protocol.xi () in
-    let cands_prov =
-      Catalog.candidates_pinned ~budget ?matv st.catalog ~instance:t ~p1 ~p2
-        ~sim:s.Protocol.sim ~hops:s.Protocol.hops
-    in
-    let r =
-      Api.solve_within ~algorithm:s.Protocol.algorithm
-        ~partition:s.Protocol.partition ~compress:s.Protocol.compress ~budget
-        ?pool ?warm_start s.Protocol.problem t
-    in
-    Catalog.remember_solution st.catalog ~key:wkey ~g1:s.Protocol.g1
-      ~g2:s.Protocol.g2 r.Api.mapping;
-    (* fast paths can finish between poll points; a final poll makes the
-       deadline (and a drain cancellation) part of the reply contract *)
-    let status =
-      match r.Api.status with
-      | Budget.Exhausted _ as st -> st
-      | Budget.Complete ->
-          if Budget.poll budget then Budget.Complete else Budget.status budget
-    in
-    ok
-      "solve problem=%s quality=%.4f mapped=%d/%d matched=%b status=%s \
-       cache=closure:%s,mat:%s,cands:%s"
-      (Api.problem_name r.Api.problem)
-      r.Api.quality
-      (Phom.Mapping.size r.Api.mapping)
-      (D.n g1) (Api.matches r) (status_token status)
-      (Catalog.provenance_name closure_prov)
-      (Catalog.provenance_name mat_prov)
-      (Catalog.provenance_name cands_prov)
+    match
+      Catalog.instance_pinned ~budget ?matv st.catalog ~p1 ~p2 ~sim ~hops ~xi
+    with
+    | Error e -> error "%s" e
+    | Ok (t, prov) -> tail ~budget ~pool ~p1 ~p2 ~matv t prov
   in
-  Ok (cancel, job)
+  Job { cancel; run }
 
-(* a count request: same two-phase shape as solve (resolve names and anchor
-   the budget on the loop's domain, run the DP as the job), same artifact
-   chain plus the count artifact itself *)
+(* fast paths can finish between poll points; a final poll makes the
+   deadline (and a drain cancellation) part of the reply contract *)
+let final_status budget = function
+  | Budget.Exhausted _ as s -> status_token s
+  | Budget.Complete ->
+      status_token
+        (if Budget.poll budget then Budget.Complete else Budget.status budget)
+
+let cache_token prov =
+  String.concat ","
+    (List.map (fun (k, p) -> k ^ ":" ^ Catalog.provenance_name p) prov)
+
+let prepare_solve st (s : Protocol.solve) =
+  let wkey = solve_key s in
+  let warm_start = Catalog.recall_solution st.catalog ~key:wkey in
+  engine_job st ~g1:s.Protocol.g1 ~g2:s.Protocol.g2 ~sim:s.Protocol.sim
+    ~hops:s.Protocol.hops ~xi:s.Protocol.xi ~timeout:s.Protocol.timeout
+    ~steps:s.Protocol.steps ~sequential:s.Protocol.sequential
+    (fun ~budget ~pool ~p1 ~p2:_ ~matv:_ t prov ->
+      let r =
+        Api.solve_within ~algorithm:s.Protocol.algorithm
+          ~partition:s.Protocol.partition ~compress:s.Protocol.compress
+          ~budget ~pool ?warm_start s.Protocol.problem t
+      in
+      Catalog.remember_solution st.catalog ~key:wkey ~g1:s.Protocol.g1
+        ~g2:s.Protocol.g2 r.Api.mapping;
+      ok
+        "solve problem=%s quality=%.4f mapped=%d/%d matched=%b status=%s \
+         cache=%s"
+        (Api.problem_name r.Api.problem)
+        r.Api.quality
+        (Phom.Mapping.size r.Api.mapping)
+        (D.n p1.Catalog.pin_graph) (Api.matches r)
+        (final_status budget r.Api.status)
+        (cache_token prov))
+
+(* a count ends in the count artifact itself: the DP runs on a miss *)
 let prepare_count st (c : Protocol.count) =
-  let ( let* ) r f =
-    match r with Error e -> Error (error "%s" e) | Ok v -> f v
-  in
-  let* p1 = Catalog.pin st.catalog c.Protocol.g1 in
-  let* p2 = Catalog.pin st.catalog c.Protocol.g2 in
-  let* matv = pin_sim st c.Protocol.sim in
-  let budget, cancel =
-    budget_for st ~timeout:c.Protocol.timeout ~steps:c.Protocol.steps
-  in
-  let pool = if c.Protocol.sequential then None else st.pool in
-  let job () =
-    Faults.solve_delay ();
-    let ( let* ) r f = match r with Error e -> error "%s" e | Ok v -> f v in
-    let g1 = p1.Catalog.pin_graph and g2 = p2.Catalog.pin_graph in
-    let tc2, closure_prov =
-      Catalog.closure_pinned ~budget st.catalog ~pin:p2 ~hops:c.Protocol.hops
-    in
-    let* mat, mat_prov =
-      Catalog.similarity_pinned ?matv st.catalog ~p1 ~p2 ~sim:c.Protocol.sim
-    in
-    let t = Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi:c.Protocol.xi () in
-    let cands_prov =
-      Catalog.candidates_pinned ~budget ?matv st.catalog ~instance:t ~p1 ~p2
-        ~sim:c.Protocol.sim ~hops:c.Protocol.hops
-    in
-    let r, count_prov =
-      Catalog.count_pinned ~budget ?pool ?matv st.catalog ~instance:t ~p1 ~p2
-        ~sim:c.Protocol.sim ~hops:c.Protocol.hops
-    in
-    let status =
-      match r.Phom.Dp.status with
-      | Budget.Exhausted _ as st -> st
-      | Budget.Complete ->
-          if Budget.poll budget then Budget.Complete else Budget.status budget
-    in
-    ok "count value=%d exact=%b width=%d status=%s cache=closure:%s,mat:%s,cands:%s,count:%s"
-      r.Phom.Dp.count r.Phom.Dp.exact r.Phom.Dp.width (status_token status)
-      (Catalog.provenance_name closure_prov)
-      (Catalog.provenance_name mat_prov)
-      (Catalog.provenance_name cands_prov)
-      (Catalog.provenance_name count_prov)
-  in
-  Ok (cancel, job)
+  engine_job st ~g1:c.Protocol.g1 ~g2:c.Protocol.g2 ~sim:c.Protocol.sim
+    ~hops:c.Protocol.hops ~xi:c.Protocol.xi ~timeout:c.Protocol.timeout
+    ~steps:c.Protocol.steps ~sequential:c.Protocol.sequential
+    (fun ~budget ~pool ~p1 ~p2 ~matv t prov ->
+      let r, count_prov =
+        Catalog.count_pinned ~budget ~pool ?matv st.catalog ~instance:t ~p1
+          ~p2 ~sim:c.Protocol.sim ~hops:c.Protocol.hops
+      in
+      ok "count value=%d exact=%b width=%d status=%s cache=%s" r.Phom.Dp.count
+        r.Phom.Dp.exact r.Phom.Dp.width
+        (final_status budget r.Phom.Dp.status)
+        (cache_token (prov @ [ ("count", count_prov) ])))
 
-(* the exception guard: user-level errors keep their message; any other
-   exception from a handler or solver job must neither kill the daemon nor
-   leak internals — it becomes an opaque [error internal] reply *)
-let guard f =
-  try f () with
-  | Invalid_argument m | Failure m | Sys_error m -> error "%s" m
-  | _ -> error "internal"
-
-let job_reply st ~sequential prepared =
-  match prepared with
-  | Error reply -> reply
-  | Ok (_cancel, job) -> (
-      (* the request rides the shared pool so the loop's own domain does
-         not run unbounded solver code; --jobs 1 keeps the historical
-         sequential path *)
-      match (if sequential then None else st.pool) with
-      | Some p -> Pool.await (Pool.submit p (fun () -> guard job))
-      | None -> guard job)
-
-let solve_reply st (s : Protocol.solve) =
-  job_reply st ~sequential:s.Protocol.sequential (prepare_solve st s)
-
-let count_reply st (c : Protocol.count) =
-  job_reply st ~sequential:c.Protocol.sequential (prepare_count st c)
-
+(* only solve and count become jobs; every probe and control verb (health,
+   stats, ping, version, list, load/unload, edits) is answered inline, so
+   a router's health probe is never queued behind a saturated worker pool
+   — a replica with all workers busy still reports [ready] *)
 let dispatch st req =
   match req with
-  | Protocol.Version -> ok "phomd %s protocol %d" Version.string Version.protocol
-  | Protocol.Ping -> ok "pong"
+  | Protocol.Version ->
+      Reply (ok "phomd %s protocol %d" Version.string Version.protocol)
+  | Protocol.Ping -> Reply (ok "pong")
   | Protocol.Health ->
       (* the flap seam simulates a replica whose probe endpoint is sick
          while its data plane still works — what drives a router's breaker
          through open/half-open without killing the process *)
-      if Faults.health_flap () then error "unavailable" else health_reply st
-  | Protocol.List -> list_reply st
-  | Protocol.Stats -> stats_reply st
-  | Protocol.Load_graph { name; path } -> (
-      match Catalog.load_graph st.catalog ~name ~path with
-      | Ok g -> ok "loaded graph %s nodes=%d edges=%d" name (D.n g) (D.nb_edges g)
-      | Error e -> error "%s" e)
-  | Protocol.Load_mat { name; path } -> (
-      match Catalog.load_mat st.catalog ~name ~path with
-      | Ok m -> ok "loaded mat %s dims=%dx%d" name (Simmat.n1 m) (Simmat.n2 m)
-      | Error e -> error "%s" e)
-  | Protocol.Unload name -> (
-      match Catalog.unload st.catalog name with
-      | Ok artifacts -> ok "unloaded %s artifacts=%d" name artifacts
-      | Error e -> error "%s" e)
-  | Protocol.Edit e -> (
+      Reply
+        (if Faults.health_flap () then error "unavailable" else health_reply st)
+  | Protocol.List -> Reply (list_reply st)
+  | Protocol.Stats -> Reply (stats_reply st)
+  | Protocol.Load_graph { name; path } ->
+      Reply
+        (match Catalog.load_graph st.catalog ~name ~path with
+        | Ok g ->
+            ok "loaded graph %s nodes=%d edges=%d" name (D.n g) (D.nb_edges g)
+        | Error e -> error "%s" e)
+  | Protocol.Load_mat { name; path } ->
+      Reply
+        (match Catalog.load_mat st.catalog ~name ~path with
+        | Ok m -> ok "loaded mat %s dims=%dx%d" name (Simmat.n1 m) (Simmat.n2 m)
+        | Error e -> error "%s" e)
+  | Protocol.Unload name ->
+      Reply
+        (match Catalog.unload st.catalog name with
+        | Ok artifacts -> ok "unloaded %s artifacts=%d" name artifacts
+        | Error e -> error "%s" e)
+  | Protocol.Edit e ->
       let op_token = match e.Protocol.op with `Add -> "add" | `Del -> "del" in
-      match
-        Catalog.edit ?expect_crc:e.Protocol.crc st.catalog
-          ~name:e.Protocol.name ~op:e.Protocol.op ~v:e.Protocol.v
-          ~w:e.Protocol.w
-      with
-      | Ok r ->
-          (* [crc=] is the post-edit content signature: a client (or the
-             router's replay log) hands it back as [--crc] to make
-             re-delivery idempotent; [closures=] counts the cached closure
-             matrices carried across the edit incrementally *)
-          ok "edited %s op=%s v=%d w=%d edges=%d crc=%s applied=%d closures=%d"
-            e.Protocol.name op_token e.Protocol.v e.Protocol.w r.Catalog.edges
-            r.Catalog.crc
-            (if r.Catalog.applied then 1 else 0)
-            r.Catalog.closures
-      | Error e -> error "%s" e)
-  | Protocol.Solve s -> solve_reply st s
-  | Protocol.Count c -> count_reply st c
-  | Protocol.Shutdown -> ok "shutting down"
-  | Protocol.Quit -> ok "bye"
+      Reply
+        (match
+           Catalog.edit ?expect_crc:e.Protocol.crc st.catalog
+             ~name:e.Protocol.name ~op:e.Protocol.op ~v:e.Protocol.v
+             ~w:e.Protocol.w
+         with
+        | Ok r ->
+            (* [crc=] is the post-edit content signature: a client (or the
+               router's replay log) hands it back as [--crc] to make
+               re-delivery idempotent; [closures=] counts the cached closure
+               matrices carried across the edit incrementally *)
+            ok "edited %s op=%s v=%d w=%d edges=%d crc=%s applied=%d closures=%d"
+              e.Protocol.name op_token e.Protocol.v e.Protocol.w r.Catalog.edges
+              r.Catalog.crc
+              (if r.Catalog.applied then 1 else 0)
+              r.Catalog.closures
+        | Error e -> error "%s" e)
+  | Protocol.Solve s -> prepare_solve st s
+  | Protocol.Count c -> prepare_count st c
+  | Protocol.Shutdown -> Reply (ok "shutting down")
+  | Protocol.Quit -> Reply (ok "bye")
+
+(* the one exception-to-reply mapping: user-level errors keep their
+   message; any other exception from a handler or a job must neither kill
+   the daemon nor leak internals — it becomes an opaque [error internal] *)
+let guard f =
+  Protocol.sanitize
+    (try f () with
+    | Invalid_argument m | Failure m | Sys_error m -> error "%s" m
+    | _ -> error "internal")
+
+(* the request pipeline's entry, shared by the socket loop and [execute]:
+   the one place a request is counted and meets the fault hook, and where
+   the guard and sanitizer go around its inline reply or its job's run *)
+let prepare st req =
+  st.requests <- st.requests + 1;
+  match
+    Faults.execute_hook ();
+    dispatch st req
+  with
+  | Reply reply -> Reply (guard (fun () -> reply))
+  | Job j -> Job { j with run = (fun () -> guard j.run) }
+  | exception e -> Reply (guard (fun () -> raise e))
+
+let next_of = function
+  | Protocol.Shutdown -> `Shutdown
+  | Protocol.Quit -> `Quit
+  | _ -> `Continue
 
 let execute st req =
-  st.requests <- st.requests + 1;
   let reply =
-    guard (fun () ->
-        Faults.execute_hook ();
-        dispatch st req)
+    match prepare st req with
+    | Reply reply -> reply
+    | Job j -> Pool.await (Pool.submit st.pool j.run)
   in
-  let next =
-    match req with
-    | Protocol.Shutdown -> `Shutdown
-    | Protocol.Quit -> `Quit
-    | _ -> `Continue
-  in
-  (Protocol.sanitize reply, next)
-
-(* like [execute], but a solve comes back as a schedulable job instead of
-   blocking the caller; only the multiplexed loop uses this *)
-type executed =
-  | Reply of string * [ `Continue | `Quit | `Shutdown ]
-  | Solve_job of { cancel : unit -> unit; job : unit -> string }
-
-(* only Solve/Count ride the pool; every probe and control verb (health,
-   stats, ping, version, list, load/unload) is answered inline on the event
-   loop below, so a router's health probe is never queued behind a saturated
-   worker pool — a replica with all workers busy still reports [ready] *)
-let execute_async st req =
-  match req with
-  | Protocol.Solve _ | Protocol.Count _ -> (
-      st.requests <- st.requests + 1;
-      let prepared =
-        try
-          Faults.execute_hook ();
-          match req with
-          | Protocol.Solve s -> prepare_solve st s
-          | Protocol.Count c -> prepare_count st c
-          | _ -> assert false
-        with
-        | Invalid_argument m | Failure m | Sys_error m -> Error (error "%s" m)
-        | _ -> Error (error "internal")
-      in
-      match prepared with
-      | Error reply -> Reply (Protocol.sanitize reply, `Continue)
-      | Ok (cancel, job) ->
-          Solve_job { cancel; job = (fun () -> Protocol.sanitize (guard job)) })
-  | _ ->
-      let reply, next = execute st req in
-      Reply (reply, next)
+  (reply, next_of req)
 
 (* ---- listeners ---- *)
 
@@ -727,13 +671,9 @@ let parse_listen spec =
 (* ---- the multiplexed socket loop ---- *)
 
 type inflight = {
-  future : string Pool.future;
   result : string option Atomic.t;
-      (* the reply, published by the worker just before it wakes the loop.
-         [Pool.peek] alone would race: the wake write happens inside the
-         task, before the pool marks the future resolved, so a woken loop
-         could peek [None] and sleep a whole poll interval on a job that is
-         already done. *)
+      (* the reply, published by the worker before it wakes the loop, so a
+         woken loop never sleeps a poll interval on a job already done *)
   cancel : unit -> unit;
 }
 
@@ -833,8 +773,8 @@ let serve ?(ready = fun _ -> ()) config =
       unix_listener
   in
   Fun.protect ~finally:finish (fun () ->
-      let run pool =
-        let st = make_state ?pool config in
+      Pool.with_pool ~domains:config.jobs (fun pool ->
+        let st = make_state ~pool config in
         ready (List.map (fun (_, b, _) -> b) listeners);
         let listener_fds = List.map (fun (fd, _, k) -> (fd, k)) listeners in
         let conns : (Unix.file_descr, cstate) Hashtbl.t = Hashtbl.create 32 in
@@ -900,16 +840,16 @@ let serve ?(ready = fun _ -> ()) config =
                   (match Protocol.parse line with
                   | Error e -> send cs (Protocol.sanitize ("error " ^ e))
                   | Ok req -> (
-                      match execute_async st req with
-                      | Reply (reply, next) -> (
+                      match prepare st req with
+                      | Reply reply -> (
                           send cs reply;
-                          match next with
+                          match next_of req with
                           | `Continue -> ()
                           | `Quit -> Conn.close_after_flush cs.c
                           | `Shutdown ->
                               Conn.close_after_flush cs.c;
                               start_drain ())
-                      | Solve_job { cancel; job } -> (
+                      | Job { cancel; run } -> (
                           if !in_flight >= config.max_pending then begin
                             (* pending-solve queue is full: shed with a
                                hint instead of queueing unboundedly *)
@@ -917,22 +857,20 @@ let serve ?(ready = fun _ -> ()) config =
                             send cs (busy_reply st)
                           end
                           else
-                            match st.pool with
+                            let result = Atomic.make None in
+                            ignore
+                              (Pool.submit st.pool (fun () ->
+                                   Atomic.set result (Some (run ()));
+                                   wake ()));
+                            match Atomic.get result with
+                            | Some reply ->
+                                (* done before [submit] returned — always
+                                   so on a size-1 pool: answered now, never
+                                   pending *)
+                                send cs reply
                             | None ->
-                                (* sequential daemon (--jobs 1): the
-                                   historical blocking path *)
-                                send cs (job ())
-                            | Some p ->
                                 incr in_flight;
-                                let result = Atomic.make None in
-                                let future =
-                                  Pool.submit p (fun () ->
-                                      let r = job () in
-                                      Atomic.set result (Some r);
-                                      wake ();
-                                      r)
-                                in
-                                cs.job <- Some { future; result; cancel })));
+                                cs.job <- Some { result; cancel })));
                   process_conn cs
                 end
         in
@@ -951,17 +889,7 @@ let serve ?(ready = fun _ -> ()) config =
             (fun cs ->
               match cs.job with
               | None -> ()
-              | Some j -> (
-                  match Atomic.get j.result with
-                  | Some reply -> finish_job cs reply
-                  | None -> (
-                      (* belt and braces: the job guard means the task
-                         cannot raise, but a future that failed anyway must
-                         still retire its connection *)
-                      match Pool.peek j.future with
-                      | None -> ()
-                      | Some reply -> finish_job cs reply
-                      | exception _ -> finish_job cs (error "internal"))))
+              | Some j -> Option.iter (finish_job cs) (Atomic.get j.result))
             (snapshot ())
         in
         let evict_stalled now =
@@ -1135,7 +1063,4 @@ let serve ?(ready = fun _ -> ()) config =
            is a warm start *)
         close_state st;
         if not (Float.is_nan !drain_started) then
-          st.drain_seconds <- Unix.gettimeofday () -. !drain_started
-      in
-      if config.jobs = 1 then run None
-      else Pool.with_pool ~domains:config.jobs (fun p -> run (Some p)))
+          st.drain_seconds <- Unix.gettimeofday () -. !drain_started))

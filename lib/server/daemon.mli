@@ -2,11 +2,18 @@
     {!Catalog} with its artifact cache) and a select-multiplexed request
     loop serving many connections over a shared {!Phom_parallel.Pool}.
 
-    Each [solve] request becomes one pool job ({!Phom_parallel.Pool.submit})
-    executed under a per-request {!Phom_graph.Budget} (defaulting to the
-    daemon's [default_timeout]/[default_steps]), so a slow query returns an
-    anytime best-so-far answer instead of starving the loop, and the reply
-    carries the PR-1 [complete]/[exhausted(...)] status plus cache-hit
+    Every request takes one pipeline, whether it arrives over a socket or
+    through {!execute}: it is counted, passes the
+    {!Faults.set_execute_hook} seam, and is staged. Probe and control verbs
+    are answered inline. [solve] and [count] pin their names and anchor a
+    per-request {!Phom_graph.Budget} (defaulting to the daemon's
+    [default_timeout]/[default_steps]) at receipt, then become one pool job
+    ({!Phom_parallel.Pool.submit}) that derives the instance through
+    {!Catalog.instance_pinned} and runs the engine. One exception guard and
+    {!Protocol.sanitize} wrap the inline reply and the job's alike. The
+    socket loop polls the job; {!execute} awaits it. A slow query returns
+    an anytime best-so-far answer instead of starving the loop, and the
+    reply carries the [complete]/[exhausted(...)] status plus cache-hit
     provenance for every artifact it touched.
 
     The loop never blocks on any single peer: sockets are non-blocking,
@@ -29,7 +36,11 @@ type config = {
           All listeners — Unix, loopback TCP and these — feed one event
           loop over one catalog; this is the fleet-facing transport the
           replica router dials. *)
-  jobs : int;  (** pool domains; 1 = fully sequential *)
+  jobs : int;
+      (** domains in the pool, the event loop's own included. The loop
+          never runs a solve, so [jobs - 1] workers run solves and their
+          fan-out: [jobs = 2] serves one solve at a time. [jobs = 1] runs
+          each solve on the loop's domain, on the sequential code path. *)
   cache_bytes : int;  (** artifact-cache capacity *)
   max_graph_bytes : int;
   max_mat_bytes : int;
@@ -76,9 +87,11 @@ val default_config : config
 type state
 
 val make_state : ?pool:Phom_parallel.Pool.t -> config -> state
-(** The pool is borrowed, not owned: {!serve} creates (and shuts down) its
-    own when none is given; callers embedding a state keep control of
-    theirs.
+(** [pool] runs the state's solve and count jobs. It is borrowed, not
+    owned: the caller keeps control of it and shuts it down. Without one,
+    the state uses a size-1 pool, so every job runs in the caller of
+    {!execute}, on the sequential code path. {!serve} builds its state
+    over a pool of [config.jobs] domains.
 
     When [config.state_dir] is set, this is also the recovery point: the
     latest snapshot is restored (every record checksum-verified; failures
@@ -98,12 +111,15 @@ val close_state : state -> unit
 val requests_served : state -> int
 
 val execute : state -> Protocol.request -> string * [ `Continue | `Quit | `Shutdown ]
-(** Run one request against the warm state and return the one-line reply
-    (without the trailing newline) plus what the connection should do next.
-    Solves block until done (tests and the bench use this path). Never
-    raises: user-level errors ([Invalid_argument], [Failure], [Sys_error])
-    keep their message; any other exception becomes an opaque
-    [error internal] reply. Every reply passes {!Protocol.sanitize}. *)
+(** Run one request through the socket loop's pipeline and return the
+    one-line reply (without the trailing newline) plus what the connection
+    should do next. A solve or count is submitted to the state's pool and
+    awaited (tests and the bench use this path), so the reply is the one a
+    daemon serving the same state would send. The request counts toward
+    {!requests_served}. Never raises: user-level errors
+    ([Invalid_argument], [Failure], [Sys_error]) keep their message; any
+    other exception becomes an opaque [error internal] reply. Every reply
+    passes {!Protocol.sanitize}. *)
 
 (** {1 The socket loop} *)
 

@@ -77,9 +77,13 @@ val fwrite : Unix.file_descr -> bytes -> int -> int -> int
     execution itself. *)
 
 val set_execute_hook : (unit -> unit) option -> unit
-(** Arm a thunk run at the top of every {!Daemon.execute} dispatch, inside
-    its exception guard — a hook that raises proves an arbitrary handler
-    exception becomes an opaque [error internal] reply. *)
+(** Arm a thunk run as every request is prepared, before it is
+    dispatched and inside the daemon's one exception guard. It runs for
+    every request alike, whether it came over a socket or through
+    {!Daemon.execute}, solves and counts included. A hook that raises
+    proves an arbitrary handler exception becomes an opaque
+    [error internal] reply, while [Failure] and the other user-level
+    errors keep their message. *)
 
 val execute_hook : unit -> unit
 (** Run the armed hook, if any. Called by the daemon; a no-op otherwise. *)

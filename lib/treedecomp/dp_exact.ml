@@ -126,11 +126,7 @@ let traverse ?pool budget (nt : T.nice) f =
       | [| c |] -> [| compute b c |]
       | [| c1; c2 |] -> (
           match pool with
-          | None ->
-              let t1 = compute b c1 in
-              let t2 = compute b c2 in
-              [| t1; t2 |]
-          | Some p ->
+          | Some p when Pool.size p > 1 ->
               (* pre-fork in the owning domain; the parent must not tick
                  while the leases are out, and [Pool.both] runs both
                  tasks to completion even when one of them trips *)
@@ -144,7 +140,13 @@ let traverse ?pool budget (nt : T.nice) f =
               Budget.join b b2;
               (match r with
               | Ok (t1, t2) -> [| t1; t2 |]
-              | Error e -> raise e))
+              | Error e -> raise e)
+          | _ ->
+              (* no pool or a size-1 one: the sequential path on the
+                 caller's own budget, as [Pool]'s contract promises *)
+              let t1 = compute b c1 in
+              let t2 = compute b c2 in
+              [| t1; t2 |])
       | _ -> assert false
     in
     let t = f b node kids in

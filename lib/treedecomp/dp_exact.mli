@@ -14,10 +14,11 @@
     processed. A tripped optimisation returns the empty mapping (always a
     valid partial p-hom mapping) with the budget's status; a tripped count
     returns [count = 0, exact = false] — a partial count is not a valid
-    answer, and callers must never cache it. With a pool, the two subtrees
-    of each join node run concurrently on forked budgets; results are
-    deterministic and identical to the sequential run whenever the budget
-    does not trip. *)
+    answer, and callers must never cache it. With a pool of more than one
+    domain, the two subtrees of each join node run concurrently on forked
+    budgets; results are deterministic and identical to the sequential run
+    whenever the budget does not trip. A size-1 pool is the sequential
+    run, budget accounting included. *)
 
 type outcome = {
   mapping : (int * int) list;  (** sorted by pattern node, best found *)

@@ -11,9 +11,11 @@ module Client = Phom_server.Client
 module Conn = Phom_server.Conn
 module Faults = Phom_server.Faults
 module Lru = Phom_server.Lru
+module Pool = Phom_parallel.Pool
 
 let fig1_pattern = Filename.concat "../data" "fig1_pattern.phg"
 let fig1_store = Filename.concat "../data" "fig1_store.phg"
+let fig1_mate = Filename.concat "../data" "fig1_mate.phs"
 
 let ok_or_fail = function
   | Ok v -> v
@@ -95,7 +97,190 @@ let test_internal_error_opaque () =
       Alcotest.(check string) "Failure passes through" "error told you so" reply);
   (* and the daemon keeps answering afterwards *)
   let reply, _ = Daemon.execute st Protocol.Version in
-  check_prefix "still alive" "ok phomd" reply
+  check_prefix "still alive" "ok phomd" reply;
+  (* solve and count meet the same guard, in process and over a socket,
+     and each still counts as exactly one request *)
+  let hooks =
+    [
+      ((fun () -> raise Not_found), "error internal");
+      ((fun () -> failwith "told you so"), "error told you so");
+    ]
+  in
+  let engine_lines = [ "solve card pat store"; "count pat store" ] in
+  List.iter
+    (fun line ->
+      ignore (Daemon.execute st (ok_or_fail (Protocol.parse line))))
+    [ "load graph pat " ^ fig1_pattern; "load graph store " ^ fig1_store ];
+  List.iter
+    (fun (hook, expected) ->
+      Faults.set_execute_hook (Some hook);
+      Fun.protect ~finally:Faults.clear (fun () ->
+          List.iter
+            (fun line ->
+              let before = Daemon.requests_served st in
+              let reply, next =
+                Daemon.execute st (ok_or_fail (Protocol.parse line))
+              in
+              Alcotest.(check string) ("in process: " ^ line) expected reply;
+              Alcotest.(check bool) "connection survives" true (next = `Continue);
+              Alcotest.(check int) ("counted once: " ^ line) (before + 1)
+                (Daemon.requests_served st))
+            engine_lines))
+    hooks;
+  with_daemon (fun addr ->
+      load_fig1 addr;
+      let conn = ok_or_fail (Client.connect addr) in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let send line = ok_or_fail (Client.send ~timeout:10. conn line) in
+          (* health's requests= counts every request, itself included *)
+          let served () =
+            let reply = send "health" in
+            match List.rev (String.split_on_char ' ' reply) with
+            | last :: _ when String.starts_with ~prefix:"requests=" last ->
+                int_of_string (String.sub last 9 (String.length last - 9))
+            | _ -> Alcotest.failf "no requests= in %S" reply
+          in
+          List.iter
+            (fun (hook, expected) ->
+              let before = served () in
+              Faults.set_execute_hook (Some hook);
+              Fun.protect ~finally:Faults.clear (fun () ->
+                  List.iter
+                    (fun line ->
+                      Alcotest.(check string) ("over the socket: " ^ line)
+                        expected (send line))
+                    engine_lines);
+              Alcotest.(check int) "one count per request"
+                (before + List.length engine_lines + 1)
+                (served ()))
+            hooks;
+          check_prefix "same connection still open" "ok solve problem=CPH"
+            (send "solve card pat store")))
+
+(* ---- one pipeline: in process and over a socket, the same bytes ---- *)
+
+(* no wall-clock budget: the stream trips budgets with step caps only, so
+   every reply is deterministic *)
+let differential_config = { Daemon.default_config with Daemon.default_timeout = None }
+
+(* a scripted stream over every shape the pipeline stages: loads, all four
+   problems direct and exact, counts, [--jobs 1] requests, a step-tripped
+   solve and count, edits with re-solves, an unknown name, a malformed
+   line, and [health], whose requests= counter must agree as well *)
+let differential_stream () =
+  let rng = Random.State.make [| 0xd1ff |] in
+  let labels = [| "A"; "B"; "C" |] in
+  let lbl _ = labels.(Random.State.int rng (Array.length labels)) in
+  let tp = Phom_graph.Generators.random_tree ~rng ~n:8 ~labels:lbl in
+  let dg = Phom_graph.Generators.erdos_renyi ~rng ~n:12 ~m:24 ~labels:lbl in
+  let save g =
+    let path = Filename.temp_file "phomd_diff" ".phg" in
+    Phom_graph.Graph_io.save path g;
+    path
+  in
+  let tp_path = save tp and dg_path = save dg in
+  (* an edge outside dg's 2-hop closure whose labels match a pattern
+     edge's, so the edit changes what the hop-bounded re-solves see *)
+  let module D = Phom_graph.Digraph in
+  let reach = Phom_graph.Bounded_closure.relation ~hops:2 dg in
+  let u, v =
+    List.find
+      (fun (u, v) ->
+        u <> v
+        && (not (Phom_graph.Bitmatrix.get reach u v))
+        && List.exists
+             (fun (a, b) ->
+               D.label tp a = D.label dg u && D.label tp b = D.label dg v)
+             (D.edges tp))
+      (List.init 144 (fun i -> (i / 12, i mod 12)))
+  in
+  let per_problem p =
+    [
+      Printf.sprintf "solve %s pat store --mat mate --xi 0.6 --algorithm direct" p;
+      Printf.sprintf "solve %s pat store --mat mate --xi 0.6 --algorithm exact" p;
+      Printf.sprintf "solve %s tp dg --xi 0.5 --algorithm exact" p;
+      Printf.sprintf "solve %s tp dg --sim shingles --xi 0.5" p;
+    ]
+  in
+  let resolve =
+    [ "solve card tp dg --xi 0.5 --hops 2 --partition"; "count tp dg --xi 0.5 --hops 2" ]
+  in
+  let lines =
+    [
+      "version";
+      "load graph pat " ^ fig1_pattern;
+      "load graph store " ^ fig1_store;
+      "load mat mate " ^ fig1_mate;
+      "load graph tp " ^ tp_path;
+      "load graph dg " ^ dg_path;
+    ]
+    @ List.concat_map per_problem [ "card"; "card11"; "sim"; "sim11" ]
+    @ [
+        "count pat store --mat mate --xi 0.6";
+        "count tp dg --xi 0.5";
+        "solve sim tp dg --xi 0.5 --partition --jobs 1";
+        "count tp dg --xi 0.5 --jobs 1";
+        "solve sim11 tp dg --xi 0.4 --algorithm exact --steps 40";
+        "count tp dg --xi 0.4 --steps 10";
+      ]
+    @ resolve
+    @ [ Printf.sprintf "addedge dg %d %d" u v ]
+    @ resolve
+    @ [ Printf.sprintf "deledge dg %d %d" u v ]
+    @ resolve
+    @ [ "solve card tp nosuch"; "solve card tp"; "list"; "health" ]
+  in
+  (lines, fun () -> List.iter Sys.remove [ tp_path; dg_path ])
+
+let in_process ?pool lines =
+  let st = Daemon.make_state ?pool differential_config in
+  List.map
+    (fun line ->
+      match Protocol.parse line with
+      | Ok req -> fst (Daemon.execute st req)
+      | Error e -> Protocol.sanitize ("error " ^ e))
+    lines
+
+let over_socket ~jobs lines =
+  let replies = ref [] in
+  with_daemon ~config:{ differential_config with Daemon.jobs } (fun addr ->
+      let conn = ok_or_fail (Client.connect addr) in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          replies :=
+            List.map
+              (fun line -> ok_or_fail (Client.send ~timeout:30. conn line))
+              lines));
+  !replies
+
+let test_in_process_matches_socket () =
+  let lines, cleanup = differential_stream () in
+  Fun.protect ~finally:cleanup (fun () ->
+      let compare what a b =
+        List.iteri
+          (fun i line ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s, line %d %S" what i line)
+              (List.nth a i) (List.nth b i))
+          lines
+      in
+      let sequential = in_process lines in
+      compare "pool-less execute vs jobs=1 socket" sequential
+        (over_socket ~jobs:1 lines);
+      let pooled = Pool.with_pool ~domains:2 (fun pool -> in_process ~pool lines) in
+      compare "2-domain execute vs jobs=2 socket" pooled (over_socket ~jobs:2 lines);
+      (* the stream reaches what it claims to *)
+      let all = String.concat "\n" sequential in
+      Alcotest.(check int) "two step-tripped replies" 2
+        (Helpers.count_substring ~needle:"status=exhausted(steps)" all);
+      Alcotest.(check int) "edits applied" 2
+        (Helpers.count_substring ~needle:"applied=1" all);
+      check_prefix "unknown name" "error unknown graph nosuch"
+        (List.nth sequential (List.length lines - 4));
+      check_prefix "malformed line" "error " (List.nth sequential (List.length lines - 3)))
 
 (* ---- Conn: bounded reader and fault grid (socketpair, no daemon) ---- *)
 
@@ -485,6 +670,8 @@ let suite =
       [
         Alcotest.test_case "internal errors are opaque" `Quick
           test_internal_error_opaque;
+        Alcotest.test_case "in-process and socket replies agree" `Quick
+          test_in_process_matches_socket;
         Alcotest.test_case "bounded reader" `Quick test_conn_bounded_reader;
         Alcotest.test_case "unterminated flood bounded" `Quick
           test_conn_unterminated_flood;
