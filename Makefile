@@ -1,7 +1,8 @@
 .PHONY: all build check test bench bench-full bench-parallel bench-serve \
 	bench-obs bench-recovery bench-exact bench-exact-baseline bench-dp \
 	bench-dp-baseline bench-incr bench-incr-baseline bench-fleet serve-smoke \
-	serve-smoke-faults chaos-smoke fleet-smoke phombench-smoke ablations micro \
+	serve-smoke-faults chaos-smoke fleet-smoke phombench-smoke phombench-pairs \
+	ablations micro \
 	examples fmt fmt-check ci clean
 
 # worker domains for the parallel runtime; passed through to the bench
@@ -106,6 +107,15 @@ fleet-smoke:
 # phombench-smoke job
 phombench-smoke:
 	sh scripts/phombench_smoke.sh
+
+# a base revision against this checkout on one phombench workload, the way
+# the benchmark judges a change: PAIRS alternating runs at BENCHMARK.json's
+# run_seconds, both sides' medians and quartiles, the change's wins and the
+# verdict against each end-to-end bound; fails unless every run checks out
+#   make phombench-pairs BASE=<rev> WORKLOAD=warm-serve [PAIRS=10]
+PAIRS ?= 10
+phombench-pairs:
+	bash scripts/phombench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
 # routed p50/p99 against 1 vs 3 replicas plus the kill -9 failover blip;
 # fails when any routed request errors or the blip exceeds its bound

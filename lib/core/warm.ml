@@ -14,7 +14,9 @@ module Simmat = Phom_sim.Simmat
       injectivity first pair per data node too);
    3. while some pattern edge between mapped nodes has no non-empty path
       between the images, drop the mapped node breaking the most edges
-      (ties: the smallest node id, so repair is deterministic). *)
+      (ties: the smallest node id, so repair is deterministic). A round
+      walks the out-edges of the mapped nodes against an image array,
+      so it costs O(|m| + their out-degrees). *)
 
 let repair ?(injective = false) (t : Instance.t) m =
   let admissible (v, u) =
@@ -37,31 +39,37 @@ let repair ?(injective = false) (t : Instance.t) m =
         end)
       (-1, []) sorted
   in
+  (* img.(v) is the image of v, or -1 while v is unmapped; viol.(v) counts
+     the broken edges at v, and only mapped nodes are ever bumped *)
+  let img = Array.make (D.n t.g1) (-1) and viol = Array.make (D.n t.g1) 0 in
   let rec fix m =
-    let viol = Hashtbl.create 16 in
-    let bump v =
-      Hashtbl.replace viol v
-        (1 + Option.value ~default:0 (Hashtbl.find_opt viol v))
-    in
+    List.iter (fun (v, _) -> viol.(v) <- 0) m;
+    let broken = ref false in
     List.iter
       (fun (v, u) ->
-        List.iter
-          (fun (v', u') ->
-            if D.has_edge t.g1 v v' && not (BM.get t.tc2 u u') then begin
-              bump v;
-              bump v'
+        Array.iter
+          (fun v' ->
+            let u' = img.(v') in
+            if u' >= 0 && not (BM.get t.tc2 u u') then begin
+              broken := true;
+              viol.(v) <- viol.(v) + 1;
+              viol.(v') <- viol.(v') + 1
             end)
-          m)
+          (D.succ t.g1 v))
       m;
-    if Hashtbl.length viol = 0 then m
+    if not !broken then m
     else begin
-      let worst, _ =
-        Hashtbl.fold
-          (fun v c (bv, bc) ->
-            if c > bc || (c = bc && v < bv) then (v, c) else (bv, bc))
-          viol (max_int, 0)
+      (* [m] is sorted by pattern node, so the first maximum is the
+         smallest id among the worst *)
+      let worst =
+        List.fold_left
+          (fun w (v, _) -> if w < 0 || viol.(v) > viol.(w) then v else w)
+          (-1) m
       in
+      img.(worst) <- -1;
       fix (List.filter (fun (v, _) -> v <> worst) m)
     end
   in
-  fix (List.rev rev)
+  let m = List.rev rev in
+  List.iter (fun (v, u) -> img.(v) <- u) m;
+  fix m

@@ -12,4 +12,5 @@
 val repair : ?injective:bool -> Instance.t -> Mapping.t -> Mapping.t
 (** [repair ~injective t m] is a valid mapping for [t] obtained from [m] by
     local deletions only (never additions), sorted and duplicate-free.
-    Cost is O(|m|²) per evicted node — independent of the graph sizes. *)
+    Each eviction round walks the out-edges of the mapped pattern nodes
+    against an image array: O(n1 + |E1|) per evicted node at most. *)

@@ -127,6 +127,8 @@ type t = {
       (** last mapping per solve shape (the warm-start store); the value
           carries the two graph names so [unload] can drop what refers to
           them *)
+  pair_sigs : (string * string * string * string * string, string) Hashtbl.t;
+      (** memoized {!pair_sig}, keyed by everything it reads *)
   mutable on_event : (Journal.event -> unit) option;
       (** the daemon's journal hook; set once before serving starts *)
 }
@@ -172,6 +174,7 @@ let create ?(max_graph_bytes = default_max_bytes)
       max_mat_bytes;
       gen = 0;
       solutions = Hashtbl.create 16;
+      pair_sigs = Hashtbl.create 16;
       on_event = None;
     }
   in
@@ -498,12 +501,7 @@ let similarity t ~g1 ~g2 ~sim =
    unmatchable whatever the structure, so content changes confined to
    irrelevant components cannot change the artifact, and their signature
    is deliberately left out: edits there keep these keys warm. *)
-let pair_sig ~p1 ~p2 ~sim ~matv ~mat ~xi =
-  let simtag =
-    match (sim, matv) with
-    | Named _, Some (_, crc) -> "m:" ^ crc
-    | _ -> "l:" ^ p1.pin_lsig ^ "." ^ p2.pin_lsig
-  in
+let compute_pair_sig ~p1 ~p2 ~simtag ~mat ~xi =
   let n1 = D.n p1.pin_graph and n2 = D.n p2.pin_graph in
   let rel1 = Array.make n1 false and rel2 = Array.make n2 false in
   for v = 0 to n1 - 1 do
@@ -530,10 +528,48 @@ let pair_sig ~p1 ~p2 ~sim ~matv ~mat ~xi =
   in
   Printf.sprintf "%s|%s|%s" simtag (side p1 rel1) (side p2 rel2)
 
+(* the catalog's in-memory memos (the warm-start store, the pair
+   signatures) are bounded: a runaway key space must not grow them without
+   limit, and a memo is an optimization, so dropping one wholesale is
+   always safe. Call under the lock. *)
+let memo_capacity = 1024
+
+let memo_replace tbl key v =
+  if Hashtbl.length tbl >= memo_capacity && not (Hashtbl.mem tbl key) then
+    Hashtbl.reset tbl;
+  Hashtbl.replace tbl key v
+
+(* computing a pair signature scans the whole n1 x n2 matrix, so it is
+   memoized. The memo needs no invalidation hook: its key is everything
+   the computation reads, and all of it is content — the similarity kind
+   and its tag (the label signatures, which fix an equality or shingles
+   matrix, or the named matrix's CRC), ξ, and both graphs' [gsig], which
+   fixes their components and component CRCs. An edit, an unload and
+   reload, a journal replay or a snapshot restore that changes what the
+   signature would read changes the key; one that restores content finds
+   its old entry still right. *)
+let pair_sig t ~p1 ~p2 ~sim ~matv ~mat ~xi =
+  let simtag =
+    match (sim, matv) with
+    | Named _, Some (_, crc) -> "m:" ^ crc
+    | _ -> "l:" ^ p1.pin_lsig ^ "." ^ p2.pin_lsig
+  in
+  let key =
+    (sim_to_string sim, simtag, Printf.sprintf "%h" xi, p1.pin_sig, p2.pin_sig)
+  in
+  match locked t (fun () -> Hashtbl.find_opt t.pair_sigs key) with
+  | Some s -> s
+  | None ->
+      let s = compute_pair_sig ~p1 ~p2 ~simtag ~mat ~xi in
+      locked t (fun () -> memo_replace t.pair_sigs key s);
+      s
+
 let candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops =
   let gen0 = generation t in
   let xi = instance.Phom.Instance.xi in
-  let psig = pair_sig ~p1 ~p2 ~sim ~matv ~mat:instance.Phom.Instance.mat ~xi in
+  let psig =
+    pair_sig t ~p1 ~p2 ~sim ~matv ~mat:instance.Phom.Instance.mat ~xi
+  in
   let key =
     K_cands (p1.pin_name, p2.pin_name, sim_to_string sim, hops, xi, psig)
   in
@@ -586,7 +622,9 @@ let instance_pinned ?budget ?matv t ~p1 ~p2 ~sim ~hops ~xi =
 let count_pinned ?budget ?pool ?matv t ~instance ~p1 ~p2 ~sim ~hops =
   let gen0 = generation t in
   let xi = instance.Phom.Instance.xi in
-  let psig = pair_sig ~p1 ~p2 ~sim ~matv ~mat:instance.Phom.Instance.mat ~xi in
+  let psig =
+    pair_sig t ~p1 ~p2 ~sim ~matv ~mat:instance.Phom.Instance.mat ~xi
+  in
   let key =
     K_count (p1.pin_name, p2.pin_name, sim_to_string sim, hops, xi, psig)
   in
@@ -717,18 +755,8 @@ let graph_sig t name =
 
 (* ---- the warm-start solution store ---- *)
 
-(* bounded: a runaway key space (many distinct solve shapes) must not
-   grow without limit; the store is an optimization, so dropping it
-   wholesale is always safe *)
-let max_solutions = 1024
-
 let remember_solution t ~key ~g1 ~g2 mapping =
-  locked t (fun () ->
-      if
-        Hashtbl.length t.solutions >= max_solutions
-        && not (Hashtbl.mem t.solutions key)
-      then Hashtbl.reset t.solutions;
-      Hashtbl.replace t.solutions key (g1, g2, mapping))
+  locked t (fun () -> memo_replace t.solutions key (g1, g2, mapping))
 
 let recall_solution t ~key =
   locked t (fun () ->
