@@ -2,11 +2,7 @@ module ML = Matching_list
 
 let initial_caps h =
   (* every G2 node occurring as a candidate gets capacity 1 *)
-  ML.Int_map.fold
-    (fun _ e acc ->
-      let add u acc = ML.Int_map.add u 1 acc in
-      ML.Int_set.fold add e.ML.minus (ML.Int_set.fold add e.ML.good acc))
-    h ML.Int_map.empty
+  ML.fold (fun _ u acc -> ML.Int_map.add u 1 acc) h ML.Int_map.empty
 
 let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
     (t : Instance.t) h0 =
@@ -21,24 +17,28 @@ let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
   let choose_u =
     match pick with
     | `Best_sim -> Instance.choose_best t
-    | `First -> fun _ goods -> ML.Int_set.min_elt goods
+    | `First -> fun _ goods -> goods.(0)
   in
   let rounds = Phom_obs.Obs.counter "phom_solver_greedy_rounds_total" in
-  let rec loop h best =
-    if ML.size h <= Mapping.size best || Phom_graph.Budget.exhausted budget then
+  let rec loop best =
+    if ML.size h0 <= Mapping.size best || Phom_graph.Budget.exhausted budget then
       best
     else begin
       Phom_obs.Obs.incr rounds;
       let { Greedy.sigma; conflict } =
-        Greedy.run ~budget ~g1:t.g1 ~tc2:t.tc2 ~choose_u ~mode h
+        Greedy.run ~budget ~g1:t.g1 ~tc2:t.tc2 ~choose_u ~mode h0
       in
       let best = if Mapping.size sigma > Mapping.size best then sigma else best in
-      (* [conflict] is non-empty whenever [h] is, so the loop shrinks [h];
-         the guard is pure defensive programming *)
-      if conflict = [] then best else loop (ML.remove_pairs h conflict) best
+      (* [conflict] is non-empty whenever [h0] is, so the loop shrinks
+         [h0]; the guard is pure defensive programming *)
+      if conflict = [] then best
+      else begin
+        ML.remove_pairs h0 conflict;
+        loop best
+      end
     end
   in
-  loop h0 []
+  loop []
 
 let run ?injective ?budget ?capacities ?pick t =
   Phom_obs.Obs.span "comp_max_card" (fun () ->

@@ -40,4 +40,5 @@ val run_on :
   Mapping.t
 (** Run the main loop from an explicit initial matching list — the hook
     {!Comp_max_sim} uses to process its weight groups. Candidate sets in
-    the list must be subsets of {!Instance.candidates}. *)
+    the list must be subsets of {!Instance.candidates}. The list is
+    consumed: each round removes its conflict set from it in place. *)

@@ -33,12 +33,6 @@ let weight_groups (t : Instance.t) weights cands =
     Array.to_list groups |> List.filter (fun g -> g <> [])
   end
 
-let matching_list_of_pairs pairs =
-  List.fold_left
-    (fun h (v, u) ->
-      Matching_list.set_good h v (ML.Int_set.add u (Matching_list.good h v)))
-    ML.empty pairs
-
 let run ?(injective = false) ?budget ?weights ?pick (t : Instance.t) =
   let budget =
     match budget with Some b -> b | None -> Phom_graph.Budget.unlimited ()
@@ -55,7 +49,7 @@ let run ?(injective = false) ?budget ?weights ?pick (t : Instance.t) =
       Phom_obs.Obs.add
         (Phom_obs.Obs.counter "phom_solver_sim_groups_total")
         (List.length groups);
-      let candidates_lists = full :: List.map matching_list_of_pairs groups in
+      let candidates_lists = full :: List.map ML.of_pairs groups in
       let score = Instance.qual_sim ~weights t in
       (* the weight groups share one token; once it trips, the remaining
          groups are skipped and the best mapping scored so far is returned *)

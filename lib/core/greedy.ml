@@ -1,5 +1,4 @@
 module ML = Matching_list
-module Int_set = ML.Int_set
 module Int_map = ML.Int_map
 
 type result = { sigma : Mapping.t; conflict : (int * int) list }
@@ -25,7 +24,8 @@ let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
     match budget with Some b -> b | None -> Phom_graph.Budget.unlimited ()
   in
   let caps0 = match mode with `Free -> None | `Capacitated c -> Some c in
-  let work = ref [ Eval (h0, caps0) ] in
+  (* the H⁺ branches consume the list in place; the caller keeps its own *)
+  let work = ref [ Eval (ML.copy h0, caps0) ] in
   let results : (sized * sized) list ref = ref [] in
   let push_result r = results := r :: !results in
   let pop_result () =
@@ -46,7 +46,7 @@ let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
         let sigma = if s1.size + 1 >= s2.size then cons (v, u) s1 else s2 in
         let conflict = if i1.size >= i2.size + 1 then i1 else cons (v, u) i2 in
         push_result (sigma, conflict)
-    | Eval (h, caps) :: rest -> (
+    | Eval (h, caps) :: rest ->
         work := rest;
         (* one tick per evaluated sub-list. When the budget trips, every
            pending branch evaluates to the empty mapping/conflict pair;
@@ -56,45 +56,30 @@ let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
         if not (Phom_graph.Budget.tick budget) then
           push_result (sized_empty, sized_empty)
         else if ML.is_empty h then push_result (sized_empty, sized_empty)
-        else
-          match ML.pick h with
-          | None ->
-              (* every good set is empty: promote the minus sets (this is
-                 what the recursion does implicitly via the H⁻ branch) *)
-              let _, hminus = ML.split h in
-              work := Eval (hminus, caps) :: !work
-          | Some (v, goods) ->
-              let u = choose_u v goods in
-              if not (Int_set.mem u goods) then
-                invalid_arg "Greedy.run: choose_u returned a non-candidate";
-              (* line 3: H[v].minus := good \ {u}; H[v].good := ∅ *)
-              let h = ML.move_to_minus h v (fun u' -> u' <> u) in
-              let h = ML.set_good h v Int_set.empty in
-              (* line 4: prune neighbours against (v, u) *)
-              let h = Trim.trim ~g1 ~tc2 ~v ~u h in
-              (* 1-1 / capacitated step: if u is exhausted under the
-                 hypothesis (v, u), no other node may keep it in good *)
-              let h, caps_plus =
-                match caps with
-                | None -> (h, None)
-                | Some c ->
-                    let remaining = Option.value ~default:1 (Int_map.find_opt u c) - 1 in
-                    let c' = Some (Int_map.add u remaining c) in
-                    if remaining > 0 then (h, c')
-                    else
-                      ( List.fold_left
-                          (fun h v' ->
-                            if v' = v then h
-                            else ML.move_to_minus h v' (fun u' -> u' = u))
-                          h (ML.nodes h),
-                        c' )
-              in
-              let hplus, hminus = ML.split h in
-              work :=
-                Eval (hplus, caps_plus)
-                :: Eval (hminus, caps)
-                :: Combine (v, u)
-                :: !work)
+        else begin
+          let v, goods = ML.widest h in
+          let u = choose_u v goods in
+          if not (Array.exists (fun u' -> u' = u) goods) then
+            invalid_arg "Greedy.run: choose_u returned a non-candidate";
+          (* line 3: v leaves H; its other candidates go to H⁻ *)
+          let moved = ML.take h v ~keep:u in
+          (* line 4: prune neighbours against (v, u) *)
+          Trim.trim ~g1 ~tc2 ~v ~u h moved;
+          (* 1-1 / capacitated step: if u is exhausted under the
+             hypothesis (v, u), no other node may keep it in good *)
+          let caps_plus =
+            match caps with
+            | None -> None
+            | Some c ->
+                let remaining = Option.value ~default:1 (Int_map.find_opt u c) - 1 in
+                if remaining <= 0 then ML.prune_target h moved u;
+                Some (Int_map.add u remaining c)
+          in
+          (* h is now H⁺; nothing reads it as the parent list again *)
+          let hminus = ML.finish h moved in
+          work :=
+            Eval (h, caps_plus) :: Eval (hminus, caps) :: Combine (v, u) :: !work
+        end
   done;
   match !results with
   | [ (sigma, conflict) ] ->

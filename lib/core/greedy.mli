@@ -6,8 +6,13 @@
     — simultaneously building the set [I] of pairwise-contradictory pairs
     that the outer loop removes. Its recursion depth is bounded only by the
     number of candidate pairs, which reaches ~10⁶ at paper scale, so we run
-    it as an explicit work-stack machine over the persistent
-    {!Matching_list} (semantically identical, heap-bounded).
+    it as an explicit work-stack machine (semantically identical,
+    heap-bounded).
+
+    Each step splits its list with {!Matching_list}'s step functions: the
+    pairs it rules out go to a fresh H⁻ and the list itself becomes H⁺ in
+    place, so a step allocates in proportion to the pairs it moves. [run]
+    works on its own copy of the input list, which the caller keeps.
 
     [mode] generalizes the paper's two variants:
     - [`Free] — plain p-hom;
@@ -27,12 +32,14 @@ val run :
   ?budget:Phom_graph.Budget.t ->
   g1:Phom_graph.Digraph.t ->
   tc2:Phom_graph.Bitmatrix.t ->
-  choose_u:(int -> Matching_list.Int_set.t -> int) ->
+  choose_u:(int -> int array -> int) ->
   mode:[ `Free | `Capacitated of int Matching_list.Int_map.t ] ->
   Matching_list.t ->
   result
 (** [choose_u v goods] selects the candidate to try first (compMaxCard uses
-    highest similarity). It must return a member of [goods].
+    highest similarity). [goods] is [v]'s non-empty candidate set, ascending;
+    [choose_u] must return a member of it and must not keep or change the
+    array.
 
     One [budget] tick per evaluated sub-list. An exhausted budget makes the
     remaining branches evaluate to the empty mapping, so [sigma] is still a

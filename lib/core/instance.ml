@@ -58,7 +58,7 @@ let preset_candidates t c =
 
 let choose_best t v goods =
   let best = ref (-1) and best_sim = ref neg_infinity in
-  Matching_list.Int_set.iter
+  Array.iter
     (fun u ->
       let s = Simmat.get t.mat v u in
       if s > !best_sim then begin

@@ -2,8 +2,8 @@
     [(v, u)], prune candidates of [v]'s parents and children in [G1] that
     cannot coexist with it — a parent's candidate [u'] needs a non-empty
     path [u' → u] in [G2], a child's candidate needs [u → u']. Pruned
-    candidates move from [good] to [minus], so the H⁻ branch can still
-    explore them. *)
+    candidates leave the list in place and join [moved], the step's H⁻, so
+    that branch can still explore them. *)
 
 val trim :
   g1:Phom_graph.Digraph.t ->
@@ -11,4 +11,5 @@ val trim :
   v:int ->
   u:int ->
   Matching_list.t ->
-  Matching_list.t
+  Matching_list.moved ->
+  unit

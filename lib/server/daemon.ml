@@ -550,12 +550,18 @@ let dispatch st req =
 
 (* the one exception-to-reply mapping: user-level errors keep their
    message; any other exception from a handler or a job must neither kill
-   the daemon nor leak internals — it becomes an opaque [error internal] *)
+   the daemon nor leak internals — it becomes an opaque [error internal],
+   counted by exception constructor so [stats] shows what was swallowed *)
 let guard f =
   Protocol.sanitize
     (try f () with
     | Invalid_argument m | Failure m | Sys_error m -> error "%s" m
-    | _ -> error "internal")
+    | e ->
+        Obs.incr
+          (Obs.counter
+             ~labels:[ ("exn", Printexc.exn_slot_name e) ]
+             "phom_daemon_internal_errors_total");
+        error "internal")
 
 (* the request pipeline's entry, shared by the socket loop and [execute]:
    the one place a request is counted and meets the fault hook, and where

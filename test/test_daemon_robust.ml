@@ -83,18 +83,41 @@ let load_fig1 addr =
 
 (* ---- the widened exception guard ---- *)
 
+(* the internal-error counters in [stats]: the one labelled [exn] and the
+   sum over every label *)
+let internal_errors st exn =
+  let reply, _ = Daemon.execute st Protocol.Stats in
+  let name = "phom_daemon_internal_errors_total{" in
+  let labelled = Printf.sprintf "%sexn=%S} " name exn in
+  List.fold_left
+    (fun (mine, all) line ->
+      if String.starts_with ~prefix:name line then
+        let value = int_of_string (List.nth (String.split_on_char ' ' line) 1) in
+        ( (if String.starts_with ~prefix:labelled line then mine + value else mine),
+          all + value )
+      else (mine, all))
+    (0, 0)
+    (String.split_on_char '\n' reply)
+
 let test_internal_error_opaque () =
   let st = Daemon.make_state Daemon.default_config in
+  let not_found = Printexc.exn_slot_name Not_found in
+  let before = internal_errors st not_found in
   Faults.set_execute_hook (Some (fun () -> raise Not_found));
   Fun.protect ~finally:Faults.clear (fun () ->
       let reply, next = Daemon.execute st Protocol.Version in
       Alcotest.(check string) "opaque reply" "error internal" reply;
       Alcotest.(check bool) "connection survives" true (next = `Continue));
-  (* user-level errors still keep their message *)
+  let after = internal_errors st not_found in
+  Alcotest.(check int) "counted by constructor" (fst before + 1) (fst after);
+  Alcotest.(check int) "counted once" (snd before + 1) (snd after);
+  (* user-level errors still keep their message, and are not counted *)
   Faults.set_execute_hook (Some (fun () -> failwith "told you so"));
   Fun.protect ~finally:Faults.clear (fun () ->
       let reply, _ = Daemon.execute st Protocol.Version in
       Alcotest.(check string) "Failure passes through" "error told you so" reply);
+  Alcotest.(check int) "Failure not counted" (snd after)
+    (snd (internal_errors st not_found));
   (* and the daemon keeps answering afterwards *)
   let reply, _ = Daemon.execute st Protocol.Version in
   check_prefix "still alive" "ok phomd" reply;

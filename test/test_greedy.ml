@@ -72,6 +72,33 @@ let prop_conflict_nonempty =
       let h = ML.of_candidates (Instance.candidates t) in
       ML.is_empty h || (run_greedy t).Greedy.conflict <> [])
 
+(* the paper's claim about I: no two of its pairs fit in one valid
+   mapping (same pattern node, a broken path, or in 1-1 mode a shared
+   target) *)
+let prop_conflict_pairwise_contradictory =
+  qtest ~count:200 "greedy: the conflict set is pairwise contradictory"
+    (instance_gen ()) print_instance (fun t ->
+      let h = ML.of_candidates (Instance.candidates t) in
+      let unit_caps =
+        ML.fold (fun _ u c -> ML.Int_map.add u 1 c) h ML.Int_map.empty
+      in
+      List.for_all
+        (fun (mode, injective) ->
+          let r =
+            Greedy.run ~g1:t.g1 ~tc2:t.tc2 ~choose_u:(Instance.choose_best t)
+              ~mode h
+          in
+          let rec ok = function
+            | [] -> true
+            | p :: rest ->
+                List.for_all
+                  (fun q -> not (Instance.is_valid ~injective t [ p; q ]))
+                  rest
+                && ok rest
+          in
+          ok r.Greedy.conflict)
+        [ (`Free, false); (`Capacitated unit_caps, true) ])
+
 let test_capacity_two () =
   (* three pattern nodes over one target with capacity 2 *)
   let t = eq_instance (graph [ "a"; "a"; "a" ] []) (graph [ "a" ] []) in
@@ -107,6 +134,7 @@ let suite =
         prop_sigma_and_conflict_from_h;
         prop_sigma_valid;
         prop_conflict_nonempty;
+        prop_conflict_pairwise_contradictory;
         prop_pick_variants_valid;
       ] );
   ]

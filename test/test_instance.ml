@@ -40,11 +40,13 @@ let test_choose_best () =
   Simmat.set mat 0 0 0.6;
   Simmat.set mat 0 1 0.9;
   let t = Instance.make ~g1 ~g2 ~mat ~xi:0.5 () in
-  let goods = Phom.Matching_list.Int_set.of_list [ 0; 1 ] in
-  Alcotest.(check int) "max similarity" 1 (Instance.choose_best t 0 goods);
+  Alcotest.(check int) "max similarity" 1 (Instance.choose_best t 0 [| 0; 1 |]);
+  Simmat.set mat 0 0 0.9;
+  Alcotest.(check int) "ties to the smallest id" 0
+    (Instance.choose_best t 0 [| 0; 1 |]);
   Alcotest.check_raises "empty set"
     (Invalid_argument "Instance.choose_best: empty candidate set") (fun () ->
-      ignore (Instance.choose_best t 0 Phom.Matching_list.Int_set.empty))
+      ignore (Instance.choose_best t 0 [||]))
 
 let test_custom_tc2_changes_semantics () =
   let g1 = graph [ "a"; "b" ] [ (0, 1) ] in
