@@ -1,8 +1,7 @@
-.PHONY: all build check test bench bench-full bench-parallel bench-serve \
+.PHONY: all build check test test-capture bench bench-full bench-parallel \
 	bench-obs bench-recovery bench-exact bench-exact-baseline bench-dp \
-	bench-dp-baseline bench-incr bench-incr-baseline bench-fleet serve-smoke \
-	serve-smoke-faults chaos-smoke fleet-smoke phombench-smoke phombench-pairs \
-	ablations micro \
+	bench-dp-baseline bench-fleet bench-gates serve-smoke serve-smoke-faults \
+	chaos-smoke fleet-smoke phombench-smoke phombench-pairs ablations micro \
 	examples fmt fmt-check ci clean
 
 # worker domains for the parallel runtime; passed through to the bench
@@ -31,53 +30,35 @@ bench:
 bench-full:
 	dune exec bench/main.exe -- --full --jobs $(JOBS)
 
-bench-parallel:
-	dune exec bench/main.exe -- parallel --jobs $(JOBS) --out BENCH_parallel.json
+# the gated suites (bench/bench_gate.ml holds every bound and rule):
+#   exact     legacy colouring B&B vs the bitset MWC engine: >= 10x fewer
+#             steps, less total time, same optima
+#   dp        tree-decomposition DP vs the MWC engine: >= 2x fewer steps,
+#             same optima
+#   obs       metrics-on vs metrics-off warm solves: <= 2% overhead
+#   recovery  recovered start strictly cheaper than a cold one, same answers
+#   fleet     routed latency, 1 vs 3 replicas; failover blip <= 10 s, same
+#             answer
+#   parallel  sequential vs the domain pool: same output, speedup reported
+# `make bench-<suite>` runs one against its checked-in baseline when it has
+# one; a suite fails on a broken guard, a regressed baseline row (steps
+# +20%, times +20% plus 0.25 s) or a built-in liveness check that does not
+# trip. `make bench-gates` runs every suite, then fails if any failed — the
+# CI bench-gates job runs exactly this.
+GATED = exact dp obs recovery fleet parallel
 
-bench-serve:
-	dune exec bench/main.exe -- serve --out BENCH_serve.json
+$(addprefix bench-,$(GATED)): bench-%:
+	dune build bench/main.exe bin/phomd.exe
+	./_build/default/bench/main.exe $* --out BENCH_$*.json \
+		$(if $(wildcard bench/baselines/BENCH_$*.json),--check-against bench/baselines/BENCH_$*.json)
 
-# metrics-on vs metrics-off on the warm-serve path; fails above 2% overhead
-bench-obs:
-	dune exec bench/main.exe -- obs --out BENCH_obs.json
+bench-gates:
+	$(MAKE) -k -j1 $(addprefix bench-,$(GATED))
 
-# cold start vs recovered start to the first answer; fails unless the
-# recovered start (snapshot + journal replay) is strictly cheaper
-bench-recovery:
-	dune exec bench/main.exe -- recovery --out BENCH_recovery.json
-
-# legacy colouring B&B vs the bitset MWC engine on the tracked seeded
-# instances; fails below the 10x step-speedup floor or on >20% regression
-# against the checked-in baseline — the same gate the bench-exact CI job runs
-bench-exact:
-	dune exec bench/main.exe -- exact --out BENCH_exact.json \
-		--check-against bench/baselines/BENCH_exact.json
-
-# refresh the checked-in baseline after an intentional perf change (run on a
+# refresh a checked-in baseline after an intentional perf change (run on a
 # quiet machine; steps are deterministic, times carry the slack)
-bench-exact-baseline:
-	dune exec bench/main.exe -- exact --out bench/baselines/BENCH_exact.json
-
-# tree-decomposition DP vs the MWC engine on the tracked low-treewidth
-# instances; fails below the 2x step-speedup floor or on >20% regression
-# against the checked-in baseline — the same gate the bench-dp CI job runs
-bench-dp:
-	dune exec bench/main.exe -- dp --out BENCH_dp.json \
-		--check-against bench/baselines/BENCH_dp.json
-
-bench-dp-baseline:
-	dune exec bench/main.exe -- dp --out bench/baselines/BENCH_dp.json
-
-# addedge/deledge + warm re-solve vs unload + reload + cold solve on the
-# tracked seeded instances; fails unless the incremental path wins on every
-# instance, both paths agree on every answer, and no instance regresses
-# against the checked-in baseline — the same gate the bench-incr CI job runs
-bench-incr:
-	dune exec bench/main.exe -- incr --out BENCH_incr.json \
-		--check-against bench/baselines/BENCH_incr.json
-
-bench-incr-baseline:
-	dune exec bench/main.exe -- incr --out bench/baselines/BENCH_incr.json
+bench-exact-baseline bench-dp-baseline: bench-%-baseline:
+	dune exec bench/main.exe -- $* --out bench/baselines/BENCH_$*.json
 
 # start phomd on a temp socket, run cold/warm/budget-tripped client queries,
 # assert clean shutdown — the same flow as the CI daemon-smoke job
@@ -117,11 +98,6 @@ PAIRS ?= 10
 phombench-pairs:
 	bash scripts/phombench_pairs.sh $(BASE) $(WORKLOAD) $(PAIRS)
 
-# routed p50/p99 against 1 vs 3 replicas plus the kill -9 failover blip;
-# fails when any routed request errors or the blip exceeds its bound
-bench-fleet:
-	dune exec bench/main.exe -- fleet --out BENCH_fleet.json
-
 ablations:
 	dune exec bench/main.exe -- ablations
 
@@ -151,28 +127,20 @@ fmt-check:
 	  echo "ocamlformat not installed; skipping (opam install ocamlformat.0.26.2)"; \
 	fi
 
-# exactly what .github/workflows/ci.yml runs (build-test + bench-smoke),
-# so a green `make ci` predicts a green pipeline
+# exactly the jobs .github/workflows/ci.yml runs, so a green `make ci`
+# predicts a green pipeline (the fmt job may fail without failing CI, so its
+# failure is ignored here too)
 ci:
 	dune build @all
 	dune runtest
+	-$(MAKE) fmt-check
 	dune exec bench/main.exe -- micro
-	dune exec bench/main.exe -- parallel --jobs 4 --out BENCH_parallel.json
+	$(MAKE) bench-gates
 	sh scripts/serve_smoke.sh
 	sh scripts/serve_smoke.sh --faults
-	dune exec bench/main.exe -- serve --out BENCH_serve.json
-	dune exec bench/main.exe -- obs --out BENCH_obs.json
 	sh scripts/chaos_smoke.sh
-	dune exec bench/main.exe -- recovery --out BENCH_recovery.json
 	sh scripts/fleet_smoke.sh
-	dune exec bench/main.exe -- fleet --out BENCH_fleet.json
 	sh scripts/phombench_smoke.sh
-	dune exec bench/main.exe -- exact --out BENCH_exact.json \
-		--check-against bench/baselines/BENCH_exact.json
-	dune exec bench/main.exe -- dp --out BENCH_dp.json \
-		--check-against bench/baselines/BENCH_dp.json
-	dune exec bench/main.exe -- incr --out BENCH_incr.json \
-		--check-against bench/baselines/BENCH_incr.json
 
 clean:
 	dune clean

@@ -1,24 +1,16 @@
-(* Tree-decomposition DP bench and CI perf-regression gate.
+(* Tree-decomposition DP bench, gated through Bench_gate.
 
    Seeded low-treewidth instances — tree and series-parallel patterns
    against graded-similarity DAG data graphs — solved to proven optimality
    by both exact paths: the Theorem-5.1 product-graph reduction into the
    bitset MWC engine, and the tree-decomposition DP the width router picks
-   on narrow patterns. Two guards, both exit non-zero so CI cannot pass a
-   regression silently:
-
-   - the engine guard: across the tracked instances the DP must take
-     >= --min-step-speedup fewer budget steps (DP table rows vs B&B search
-     nodes) than the MWC engine — the whole point of routing tree-like
-     patterns away from the clique solver;
-   - the baseline gate (--check-against FILE): every tracked (name, engine)
-     row of the checked-in BENCH_dp.json must be reproduced within
-     --max-step-regress and --max-time-regress plus --time-floor, exactly
-     like `bench exact`.
-
-   Refresh the baseline by copying the written artifact over
-   bench/baselines/BENCH_dp.json when an intentional change moves the
-   numbers. *)
+   on narrow patterns. The guards: across the tracked instances the DP
+   takes at least 2x fewer budget steps (DP table rows vs B&B search nodes)
+   than the MWC engine — the whole point of routing tree-like patterns away
+   from the clique solver — the two agree on every optimum, and every solve
+   completes within [step_cap]. With --check-against, every tracked step
+   and wall-time row of bench/baselines/BENCH_dp.json is held to
+   Bench_gate's baseline rules, exactly like `bench exact`. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -27,9 +19,8 @@ module Simmat = Phom_sim.Simmat
 module Ungraph = Phom_wis.Ungraph
 module Wis = Phom_wis.Wis
 module Mapping = Phom.Mapping
-module Pool = Phom_parallel.Pool
 
-type row = {
+type result = {
   name : string;
   engine : string;  (** "dp" or "mwc" *)
   nodes : int;  (** pattern nodes (the DP's input scale) *)
@@ -37,6 +28,7 @@ type row = {
   optimum : float;
   steps : int;
   seconds : float;
+  proven : bool;  (** completed within [step_cap] *)
 }
 
 (* a tracked instance: a seeded low-treewidth pattern (tree or
@@ -98,11 +90,6 @@ let run_dp ?pool name (t : Phom.Instance.t) weights =
   let r, seconds =
     Util.timed (fun () -> Phom.Dp.solve ~budget:b ?pool ~objective t)
   in
-  if r.Phom.Exact.status <> Budget.Complete then begin
-    Printf.eprintf "bench dp: DP did not complete on %s within %d steps\n" name
-      step_cap;
-    exit 1
-  end;
   let optimum =
     match weights with
     | None -> float_of_int (Mapping.size r.Phom.Exact.mapping)
@@ -116,6 +103,7 @@ let run_dp ?pool name (t : Phom.Instance.t) weights =
     seconds;
     steps = Budget.steps_used b;
     optimum;
+    proven = r.Phom.Exact.status = Budget.Complete;
   }
 
 let run_mwc ?pool name (t : Phom.Instance.t) weights =
@@ -138,12 +126,6 @@ let run_mwc ?pool name (t : Phom.Instance.t) weights =
             let _, w, status = Wis.exact_max_weight_clique ?pool ~budget:b g in
             (w, status))
   in
-  if status <> Budget.Complete then begin
-    Printf.eprintf
-      "bench dp: MWC engine did not prove optimality on %s within %d steps\n"
-      name step_cap;
-    exit 1
-  end;
   {
     name;
     engine = "mwc";
@@ -152,157 +134,56 @@ let run_mwc ?pool name (t : Phom.Instance.t) weights =
     seconds;
     steps = Budget.steps_used b;
     optimum;
+    proven = status = Budget.Complete;
   }
 
-let json_of ~seed ~jobs rows ~dp_steps ~mwc_steps ~dp_seconds ~mwc_seconds =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"engine\": %S, \"nodes\": %d, \"edges\": %d, \
-       \"optimum\": %.6f, \"steps\": %d, \"seconds\": %.6f}"
-      r.name r.engine r.nodes r.edges r.optimum r.steps r.seconds
+let rows_of r =
+  let row metric unit value =
+    {
+      Bench_gate.suite = "dp";
+      instance = r.name ^ "/" ^ r.engine;
+      metric;
+      unit;
+      value;
+    }
   in
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"mwc_steps\": %d,\n\
-    \  \"dp_steps\": %d,\n\
-    \  \"steps_speedup\": %.3f,\n\
-    \  \"mwc_seconds\": %.6f,\n\
-    \  \"dp_seconds\": %.6f,\n\
-    \  \"instances\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    seed jobs mwc_steps dp_steps
-    (if dp_steps > 0 then float_of_int mwc_steps /. float_of_int dp_steps
-     else 0.)
-    mwc_seconds dp_seconds
-    (String.concat ",\n" (List.map row_json rows))
+  [
+    row "nodes" "nodes" (float_of_int r.nodes);
+    row "edges" "edges" (float_of_int r.edges);
+    row "optimum" "objective" r.optimum;
+    row "steps" "steps" (float_of_int r.steps);
+    row "seconds" "s" r.seconds;
+  ]
 
-let check_against ~baseline_file ~max_step_regress ~max_time_regress
-    ~time_floor rows =
-  let baseline = Exact_bench.parse_baseline baseline_file in
-  if baseline = [] then begin
-    Printf.eprintf "bench dp: no instance rows parsed from %s\n" baseline_file;
-    exit 1
-  end;
-  let violations = ref 0 in
-  List.iter
-    (fun (name, engine, base_steps, base_seconds) ->
-      match
-        List.find_opt (fun r -> r.name = name && r.engine = engine) rows
-      with
-      | None ->
-          Printf.eprintf
-            "bench dp: tracked instance %s/%s missing from this run\n" name
-            engine;
-          incr violations
-      | Some r ->
-          let step_limit =
-            int_of_float
-              (ceil (float_of_int base_steps *. (1. +. max_step_regress)))
-          in
-          if r.steps > step_limit then begin
-            Printf.eprintf
-              "bench dp: %s/%s regressed on steps: %d > %d (baseline %d, \
-               +%.0f%% allowed)\n"
-              name engine r.steps step_limit base_steps
-              (max_step_regress *. 100.);
-            incr violations
-          end;
-          let time_limit =
-            (base_seconds *. (1. +. max_time_regress)) +. time_floor
-          in
-          if r.seconds > time_limit then begin
-            Printf.eprintf
-              "bench dp: %s/%s regressed on wall-time: %.6fs > %.6fs \
-               (baseline %.6fs, +%.0f%% and %.2fs slack)\n"
-              name engine r.seconds time_limit base_seconds
-              (max_time_regress *. 100.) time_floor;
-            incr violations
-          end)
-    baseline;
-  if !violations > 0 then begin
-    Printf.eprintf "bench dp: %d perf-gate violation(s) vs %s\n" !violations
-      baseline_file;
-    exit 1
-  end;
-  Util.note "perf gate: every tracked instance within bounds of %s"
-    baseline_file
-
-let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
-    ~max_time_regress ~time_floor () =
+let run ~seed ?pool ~out ?check () =
   Util.heading "Low-treewidth patterns: tree-decomposition DP vs MWC engine";
-  let with_pool f =
-    if jobs <= 1 then f None
-    else Pool.with_pool ~domains:jobs (fun p -> f (Some p))
+  let pairs =
+    List.map
+      (fun (name, (t, weights)) ->
+        let dp = run_dp ?pool name t weights in
+        (dp, run_mwc ?pool name t weights))
+      (tracked ~seed)
   in
-  with_pool @@ fun pool ->
-  let eps = 1e-6 in
-  let rows = ref [] in
-  List.iter
-    (fun (name, (t, weights)) ->
-      let dp = run_dp ?pool name t weights in
-      let mwc = run_mwc ?pool name t weights in
-      if Float.abs (dp.optimum -. mwc.optimum) > eps then begin
-        Printf.eprintf
-          "bench dp: engines disagree on %s: dp %.6f vs mwc %.6f\n" name
-          dp.optimum mwc.optimum;
-        exit 1
-      end;
-      rows := mwc :: dp :: !rows)
-    (tracked ~seed);
-  let rows = List.rev !rows in
-  let sum f pred =
-    List.fold_left (fun acc r -> if pred r then acc +. f r else acc) 0. rows
+  let results = List.concat_map (fun (d, m) -> [ d; m ]) pairs in
+  let total_steps side =
+    List.fold_left (fun acc p -> acc +. float_of_int (side p).steps) 0. pairs
   in
-  let dp_steps =
-    int_of_float (sum (fun r -> float_of_int r.steps) (fun r -> r.engine = "dp"))
+  let guards =
+    [
+      (* the router's reason to exist *)
+      Bench_gate.at_least "dp step speedup over mwc"
+        (total_steps snd /. total_steps fst)
+        2.;
+      Bench_gate.at_most "largest dp-mwc optimum gap"
+        (List.fold_left
+           (fun acc (d, m) -> Float.max acc (Float.abs (d.optimum -. m.optimum)))
+           0. pairs)
+        1e-6;
+      Bench_gate.none "solves not complete within the step cap"
+        (fun r -> not r.proven)
+        results;
+    ]
   in
-  let mwc_steps =
-    int_of_float (sum (fun r -> float_of_int r.steps) (fun r -> r.engine = "mwc"))
-  in
-  let dp_seconds = sum (fun r -> r.seconds) (fun r -> r.engine = "dp") in
-  let mwc_seconds = sum (fun r -> r.seconds) (fun r -> r.engine = "mwc") in
-  Util.table
-    [ "instance"; "engine"; "g1 nodes"; "g1 edges"; "optimum"; "steps"; "seconds" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           r.engine;
-           string_of_int r.nodes;
-           string_of_int r.edges;
-           Printf.sprintf "%.2f" r.optimum;
-           string_of_int r.steps;
-           Util.seconds r.seconds;
-         ])
-       rows);
-  let steps_speedup =
-    if dp_steps > 0 then float_of_int mwc_steps /. float_of_int dp_steps
-    else infinity
-  in
-  Util.note "steps: mwc %d vs dp %d (%.1fx); time: %ss vs %ss" mwc_steps
-    dp_steps steps_speedup
-    (Util.seconds mwc_seconds) (Util.seconds dp_seconds);
-  let json =
-    json_of ~seed ~jobs rows ~dp_steps ~mwc_steps ~dp_seconds ~mwc_seconds
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  (* engine guard: the router's reason to exist *)
-  if steps_speedup < min_step_speedup then begin
-    Printf.eprintf
-      "bench dp: DP is only %.2fx fewer steps than the MWC engine (required \
-       %.1fx)\n"
-      steps_speedup min_step_speedup;
-    exit 1
-  end;
-  match check with
-  | None -> ()
-  | Some baseline_file ->
-      check_against ~baseline_file ~max_step_regress ~max_time_regress
-        ~time_floor rows
+  Bench_gate.finish ~suite:"dp" ~seed ~out ?baseline:check
+    (List.concat_map rows_of results)
+    guards

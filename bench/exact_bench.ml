@@ -1,23 +1,16 @@
-(* Exact-path bench and CI perf-regression gate.
+(* Exact-path bench, gated through Bench_gate.
 
    Seeded product-graph instances (the paper generator's pattern/data pairs
    pushed through the Theorem-5.1 compatibility-graph construction) solved
    to proven optimality by the legacy colouring B&B and the bitset MWC
-   engine. Two guards, both exit non-zero so CI cannot pass a regression
-   silently:
-
-   - the engine guard: across the tracked cardinality instances the MWC
-     engine must take >= --min-step-speedup fewer B&B steps (default 10x)
-     than the legacy engine, and strictly less total wall-time;
-   - the baseline gate (--check-against FILE): every tracked (name, engine)
-     row of the checked-in BENCH_exact.json must be reproduced within
-     --max-step-regress (steps are deterministic, so this is an exact
-     comparison with a tolerance) and --max-time-regress plus an absolute
-     --time-floor (wall-time is noisy across runners).
-
-   The JSON this writes doubles as the next baseline: refresh it by copying
-   the artifact over bench/baselines/BENCH_exact.json when an intentional
-   engine change moves the numbers. *)
+   engine. The guards: across the tracked cardinality instances the MWC
+   engine takes at least 10x fewer B&B steps than the legacy engine and
+   strictly less total wall-time, both engines agree on every optimum, and
+   every solve proves optimality within [step_cap]. With --check-against,
+   every tracked step and wall-time row of the checked-in
+   bench/baselines/BENCH_exact.json is held to Bench_gate's baseline rules;
+   refresh it by copying a report over it when an intentional engine change
+   moves the numbers. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -25,9 +18,8 @@ module Budget = Phom_graph.Budget
 module Labelsim = Phom_sim.Labelsim
 module Ungraph = Phom_wis.Ungraph
 module Wis = Phom_wis.Wis
-module Pool = Phom_parallel.Pool
 
-type row = {
+type result = {
   name : string;
   engine : string;  (** "legacy" or "mwc" *)
   nodes : int;
@@ -35,6 +27,7 @@ type row = {
   optimum : float;
   steps : int;
   seconds : float;
+  proven : bool;  (** optimality proven within [step_cap] *)
 }
 
 (* a tracked instance: the product graph of a seeded Erdős–Rényi
@@ -116,12 +109,6 @@ let run_engine name engine g solve =
     engine (Ungraph.n g) (Ungraph.nb_edges g);
   let b = Budget.create ~steps:step_cap () in
   let (value, status), seconds = Util.timed (fun () -> solve b g) in
-  if status <> Budget.Complete then begin
-    Printf.eprintf
-      "bench exact: %s engine did not prove optimality on %s within %d steps\n"
-      engine name step_cap;
-    exit 1
-  end;
   {
     name;
     engine;
@@ -130,6 +117,7 @@ let run_engine name engine g solve =
     optimum = value;
     steps = Budget.steps_used b;
     seconds;
+    proven = status = Budget.Complete;
   }
 
 let legacy_solve b g =
@@ -144,218 +132,63 @@ let mwc_weight_solve ?pool b g =
   let _, w, status = Wis.exact_max_weight_clique ?pool ~budget:b g in
   (w, status)
 
-let json_of ~seed ~jobs rows ~legacy_steps ~mwc_steps ~legacy_seconds
-    ~mwc_seconds =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"engine\": %S, \"nodes\": %d, \"edges\": %d, \
-       \"optimum\": %.6f, \"steps\": %d, \"seconds\": %.6f}"
-      r.name r.engine r.nodes r.edges r.optimum r.steps r.seconds
+let rows_of r =
+  let row metric unit value =
+    {
+      Bench_gate.suite = "exact";
+      instance = r.name ^ "/" ^ r.engine;
+      metric;
+      unit;
+      value;
+    }
   in
-  Printf.sprintf
-    "{\n\
-    \  \"seed\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"legacy_steps\": %d,\n\
-    \  \"mwc_steps\": %d,\n\
-    \  \"steps_speedup\": %.3f,\n\
-    \  \"legacy_seconds\": %.6f,\n\
-    \  \"mwc_seconds\": %.6f,\n\
-    \  \"time_speedup\": %.3f,\n\
-    \  \"instances\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    seed jobs legacy_steps mwc_steps
-    (if mwc_steps > 0 then float_of_int legacy_steps /. float_of_int mwc_steps
-     else 0.)
-    legacy_seconds mwc_seconds
-    (if mwc_seconds > 0. then legacy_seconds /. mwc_seconds else 0.)
-    (String.concat ",\n" (List.map row_json rows))
+  [
+    row "nodes" "nodes" (float_of_int r.nodes);
+    row "edges" "edges" (float_of_int r.edges);
+    row "optimum" "objective" r.optimum;
+    row "steps" "steps" (float_of_int r.steps);
+    row "seconds" "s" r.seconds;
+  ]
 
-(* ---- the baseline gate ---- *)
-
-(* minimal field extraction from the flat per-instance lines this bench
-   itself writes (the repo deliberately has no JSON dependency) *)
-let parse_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  let field line key =
-    let pat = Printf.sprintf "\"%s\": " key in
-    let plen = String.length pat in
-    let rec find i =
-      if i + plen > String.length line then None
-      else if String.sub line i plen = pat then Some (i + plen)
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some start ->
-        let stop = ref start in
-        let len = String.length line in
-        while !stop < len && not (List.mem line.[!stop] [ ','; '}'; '\n' ]) do
-          incr stop
-        done;
-        Some (String.trim (String.sub line start (!stop - start)))
-  in
-  let unquote s =
-    if String.length s >= 2 && s.[0] = '"' then String.sub s 1 (String.length s - 2)
-    else s
-  in
-  (try
-     while true do
-       let line = input_line ic in
-       match (field line "name", field line "engine", field line "steps",
-              field line "seconds")
-       with
-       | Some n, Some e, Some st, Some sec ->
-           rows :=
-             (unquote n, unquote e, int_of_string st, float_of_string sec)
-             :: !rows
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
-
-let check_against ~baseline_file ~max_step_regress ~max_time_regress
-    ~time_floor rows =
-  let baseline = parse_baseline baseline_file in
-  if baseline = [] then begin
-    Printf.eprintf "bench exact: no instance rows parsed from %s\n"
-      baseline_file;
-    exit 1
-  end;
-  let violations = ref 0 in
-  List.iter
-    (fun (name, engine, base_steps, base_seconds) ->
-      match
-        List.find_opt (fun r -> r.name = name && r.engine = engine) rows
-      with
-      | None ->
-          Printf.eprintf
-            "bench exact: tracked instance %s/%s missing from this run\n" name
-            engine;
-          incr violations
-      | Some r ->
-          let step_limit =
-            int_of_float (ceil (float_of_int base_steps *. (1. +. max_step_regress)))
-          in
-          if r.steps > step_limit then begin
-            Printf.eprintf
-              "bench exact: %s/%s regressed on steps: %d > %d (baseline %d, \
-               +%.0f%% allowed)\n"
-              name engine r.steps step_limit base_steps
-              (max_step_regress *. 100.);
-            incr violations
-          end;
-          let time_limit = (base_seconds *. (1. +. max_time_regress)) +. time_floor in
-          if r.seconds > time_limit then begin
-            Printf.eprintf
-              "bench exact: %s/%s regressed on wall-time: %.6fs > %.6fs \
-               (baseline %.6fs, +%.0f%% and %.2fs slack)\n"
-              name engine r.seconds time_limit base_seconds
-              (max_time_regress *. 100.) time_floor;
-            incr violations
-          end)
-    baseline;
-  if !violations > 0 then begin
-    Printf.eprintf "bench exact: %d perf-gate violation(s) vs %s\n" !violations
-      baseline_file;
-    exit 1
-  end;
-  Util.note "perf gate: every tracked instance within bounds of %s"
-    baseline_file
-
-let run ~seed ~jobs ~min_step_speedup ~out ?check ~max_step_regress
-    ~max_time_regress ~time_floor () =
+let run ~seed ?pool ~out ?check () =
   Util.heading "Exact path: legacy colouring B&B vs bitset MWC engine";
-  let with_pool f =
-    if jobs <= 1 then f None
-    else Pool.with_pool ~domains:jobs (fun p -> f (Some p))
-  in
-  with_pool @@ fun pool ->
-  let rows = ref [] in
-  let add r = rows := r :: !rows in
   (* cardinality instances: both engines, same optimum required *)
-  List.iter
-    (fun (name, g) ->
-      let legacy = run_engine name "legacy" g legacy_solve in
-      let mwc = run_engine name "mwc" g (mwc_solve ?pool) in
-      if legacy.optimum <> mwc.optimum then begin
-        Printf.eprintf
-          "bench exact: engines disagree on %s: legacy %.0f vs mwc %.0f\n" name
-          legacy.optimum mwc.optimum;
-        exit 1
-      end;
-      add legacy;
-      add mwc)
-    (tracked ~seed);
+  let pairs =
+    List.map
+      (fun (name, g) ->
+        let legacy = run_engine name "legacy" g legacy_solve in
+        (legacy, run_engine name "mwc" g (mwc_solve ?pool)))
+      (tracked ~seed)
+  in
   (* weighted instances: the new engine only (the legacy engine has no
-     weight objective); tracked by the baseline gate all the same *)
-  List.iter
-    (fun (name, g) -> add (run_engine name "mwc" g (mwc_weight_solve ?pool)))
-    (weighted_tracked ~seed);
-  let rows = List.rev !rows in
-  let sum f pred =
-    List.fold_left (fun acc r -> if pred r then acc +. f r else acc) 0. rows
+     weight objective); tracked by the baseline all the same *)
+  let weighted =
+    List.map
+      (fun (name, g) -> run_engine name "mwc" g (mwc_weight_solve ?pool))
+      (weighted_tracked ~seed)
   in
-  let is_card_legacy r = r.engine = "legacy" in
-  let is_card_mwc r =
-    r.engine = "mwc" && List.exists (fun b -> b.name = r.name && b.engine = "legacy") rows
+  let results = List.concat_map (fun (l, m) -> [ l; m ]) pairs @ weighted in
+  let total f side =
+    List.fold_left (fun acc p -> acc +. f (side p)) 0. pairs
   in
-  let legacy_steps = int_of_float (sum (fun r -> float_of_int r.steps) is_card_legacy) in
-  let mwc_steps = int_of_float (sum (fun r -> float_of_int r.steps) is_card_mwc) in
-  let legacy_seconds = sum (fun r -> r.seconds) is_card_legacy in
-  let mwc_seconds = sum (fun r -> r.seconds) is_card_mwc in
-  Util.table
-    [ "instance"; "engine"; "nodes"; "edges"; "optimum"; "steps"; "seconds" ]
-    (List.map
-       (fun r ->
-         [
-           r.name;
-           r.engine;
-           string_of_int r.nodes;
-           string_of_int r.edges;
-           Printf.sprintf "%.2f" r.optimum;
-           string_of_int r.steps;
-           Util.seconds r.seconds;
-         ])
-       rows);
-  let steps_speedup =
-    if mwc_steps > 0 then float_of_int legacy_steps /. float_of_int mwc_steps
-    else infinity
+  let steps r = float_of_int r.steps and seconds r = r.seconds in
+  let guards =
+    [
+      Bench_gate.at_least "mwc step speedup over legacy"
+        (total steps fst /. total steps snd)
+        10.;
+      Bench_gate.below "mwc total time < legacy's (s)"
+        (total seconds snd) (total seconds fst);
+      Bench_gate.at_most "largest legacy-mwc optimum gap"
+        (List.fold_left
+           (fun acc (l, m) -> Float.max acc (Float.abs (l.optimum -. m.optimum)))
+           0. pairs)
+        0.;
+      Bench_gate.none "solves not proven within the step cap"
+        (fun r -> not r.proven)
+        results;
+    ]
   in
-  Util.note "steps: legacy %d vs mwc %d (%.1fx); time: %ss vs %ss (%.1fx)"
-    legacy_steps mwc_steps steps_speedup
-    (Util.seconds legacy_seconds) (Util.seconds mwc_seconds)
-    (if mwc_seconds > 0. then legacy_seconds /. mwc_seconds else 0.);
-  let json =
-    json_of ~seed ~jobs rows ~legacy_steps ~mwc_steps ~legacy_seconds
-      ~mwc_seconds
-  in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  (* engine guard *)
-  if steps_speedup < min_step_speedup then begin
-    Printf.eprintf
-      "bench exact: MWC engine is only %.2fx fewer steps than legacy \
-       (required %.1fx)\n"
-      steps_speedup min_step_speedup;
-    exit 1
-  end;
-  if mwc_seconds >= legacy_seconds then begin
-    Printf.eprintf
-      "bench exact: MWC engine wall-time %.6fs is not strictly faster than \
-       legacy %.6fs\n"
-      mwc_seconds legacy_seconds;
-    exit 1
-  end;
-  (* baseline gate *)
-  match check with
-  | None -> ()
-  | Some baseline_file ->
-      check_against ~baseline_file ~max_step_regress ~max_time_regress
-        ~time_floor rows
+  Bench_gate.finish ~suite:"exact" ~seed ~out ?baseline:check
+    (List.concat_map rows_of results)
+    guards

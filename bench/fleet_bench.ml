@@ -10,15 +10,15 @@
      routed request for that pair must still succeed (the router fails
      over inside the request) and its duration is the failover blip.
 
-   Emits BENCH_fleet.json (also printed as a table) and fails when any
-   routed request errors or the blip exceeds the bound — CI also runs
-   with an impossible bound to assert the guard is live. *)
+   Any routed request that errors fails the run; the guards hold the blip
+   to [max_blip] and require the failover answer to equal the pre-kill
+   one. *)
 
 module G = Phom_graph.Generators
 module IO = Phom_graph.Graph_io
 module Router = Phom_server.Router
 
-type fleet_row = {
+type fleet = {
   replicas : int;
   requests : int;
   warm_p50 : float;
@@ -175,29 +175,13 @@ let measure_fleet router pairs ~rounds =
   done;
   !lat
 
-let json_of ~pairs ~rounds rows ~blip ~blip_reply_ok ~max_blip =
-  let row_json r =
-    Printf.sprintf
-      "    {\"replicas\": %d, \"requests\": %d, \"warm_p50_seconds\": %.6f, \
-       \"warm_p99_seconds\": %.6f}"
-      r.replicas r.requests r.warm_p50 r.warm_p99
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"pairs\": %d,\n\
-    \  \"warm_rounds\": %d,\n\
-    \  \"fleets\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"failover_blip_seconds\": %.6f,\n\
-    \  \"failover_reply_ok\": %b,\n\
-    \  \"max_blip_seconds\": %.6f\n\
-     }\n"
-    pairs rounds
-    (String.concat ",\n" (List.map row_json rows))
-    blip blip_reply_ok max_blip
+let m = 20
+let noise = 0.1
+let pairs = 4
+let rounds = 20
+let max_blip = 10.0
 
-let run ~seed ~m ~noise ~pairs ~rounds ~max_blip ~out () =
+let run ~seed ~out () =
   Util.heading "Fleet tier: routed latency and the price of losing a replica";
   Util.note
     "phomd subprocesses on loopback TCP, %d graph pairs (m = %d, noise \
@@ -226,7 +210,7 @@ let run ~seed ~m ~noise ~pairs ~rounds ~max_blip ~out () =
           warm_p99 = percentile 0.99 lat;
         })
   in
-  let rows = [ measure_n 1; measure_n 3 ] in
+  let fleets = [ measure_n 1; measure_n 3 ] in
   (* phase 3: kill the owner of the first pair mid-workload; the very next
      routed request for that pair must fail over inside the request *)
   let victim_name, _, _ = List.hd pair_files in
@@ -259,29 +243,22 @@ let run ~seed ~m ~noise ~pairs ~rounds ~max_blip ~out () =
         expect_ok "failover solve" reply;
         (blip, strip_cache reply = strip_cache reference))
   in
-  Util.table
-    [ "replicas"; "requests"; "warm p50"; "warm p99" ]
-    (List.map
+  let row instance metric unit value =
+    { Bench_gate.suite = "fleet"; instance; metric; unit; value }
+  in
+  Bench_gate.finish ~suite:"fleet" ~seed ~out
+    (List.concat_map
        (fun r ->
+         let instance = Printf.sprintf "replicas-%d" r.replicas in
          [
-           string_of_int r.replicas;
-           string_of_int r.requests;
-           Util.seconds r.warm_p50;
-           Util.seconds r.warm_p99;
+           row instance "requests" "requests" (float_of_int r.requests);
+           row instance "warm_p50" "s" r.warm_p50;
+           row instance "warm_p99" "s" r.warm_p99;
          ])
-       rows);
-  Util.note "failover blip %ss (reply identical to pre-kill: %b)"
-    (Util.seconds blip) blip_reply_ok;
-  let json = json_of ~pairs ~rounds rows ~blip ~blip_reply_ok ~max_blip in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  if not blip_reply_ok then begin
-    prerr_endline "failover changed the answer";
-    exit 1
-  end;
-  if blip > max_blip then begin
-    Printf.eprintf "failover blip %.6fs exceeds the %.6fs bound\n" blip max_blip;
-    exit 1
-  end
+       fleets
+    @ [ row "failover" "blip" "s" blip ])
+    [
+      Bench_gate.at_most "failover blip (s)" blip max_blip;
+      Bench_gate.none "failover answers unlike the pre-kill one" not
+        [ blip_reply_ok ];
+    ]

@@ -5,7 +5,10 @@
    dune exec bench/main.exe -- --full  -- everything, paper scale (slow!)
    dune exec bench/main.exe -- table3  -- a single experiment
    dune exec bench/main.exe -- fig5 --axis noise
-   dune exec bench/main.exe -- micro   -- bechamel micro-benchmarks *)
+   dune exec bench/main.exe -- micro   -- bechamel micro-benchmarks
+
+   Beside them, six gated suites (exact, dp, obs, recovery, fleet,
+   parallel) report through Bench_gate; `make bench-gates` runs them all. *)
 
 open Cmdliner
 module Dataset = Phom_web.Dataset
@@ -35,11 +38,14 @@ let jobs_arg =
               (sequential), so published numbers stay comparable unless \
               parallelism is asked for explicitly.")
 
-let with_pool jobs f =
+let check_jobs jobs =
   if jobs < 1 then begin
     Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
     exit 1
-  end;
+  end
+
+let with_pool jobs f =
+  check_jobs jobs;
   if jobs = 1 then f None
   else Phom_parallel.Pool.with_pool ~domains:jobs (fun p -> f (Some p))
 
@@ -134,42 +140,38 @@ let ablations_cmd =
     (Cmd.info "ablations" ~doc:"Ablation benches for the design choices.")
     Term.(const (fun seed -> Ablations.run ~seed) $ seed_arg)
 
+(* the gated suites: each takes --seed and --out (exact, dp and parallel
+   also --jobs, exact and dp --check-against); every bound and workload
+   shape is a constant in its module, and Bench_gate holds the rules *)
+
+let out_arg suite =
+  Arg.(
+    value
+    & opt string (Printf.sprintf "BENCH_%s.json" suite)
+    & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
+
+let check_arg suite =
+  Arg.(
+    value & opt (some file) None
+    & info [ "check-against" ] ~docv:"FILE"
+        ~doc:(Printf.sprintf
+                "Baseline BENCH_%s.json to gate against: fail when any tracked \
+                 step or wall-time row regresses past Bench_gate's bounds."
+                suite))
+
+let seeded_cmd ~suite ~doc run =
+  Cmd.v (Cmd.info suite ~doc)
+    Term.(const (fun seed out -> run ~seed ~out ()) $ seed_arg $ out_arg suite)
+
 let parallel_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_parallel.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let components_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "components" ] ~doc:"Pattern components in the fan-out workload.")
-  in
-  let m_arg =
-    Arg.(value & opt int 40 & info [ "size" ] ~doc:"Nodes per pattern component.")
-  in
-  let require_speedup_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "require-speedup" ] ~docv:"X"
-          ~doc:"Fail unless every workload reaches X times sequential speed \
-                (default 0: report only — pool wins depend on machine shape).")
-  in
-  let run seed jobs components m versions require_speedup out =
-    let jobs =
-      if jobs >= 1 then jobs
-      else begin
-        Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-        exit 1
-      end
-    in
-    Parallel_bench.run ~jobs ~seed ~components ~m ~versions ~out
-      ~min_speedup:require_speedup ()
+  let run seed jobs out =
+    check_jobs jobs;
+    Parallel_bench.run ~jobs ~seed ~out ()
   in
   Cmd.v
     (Cmd.info "parallel"
        ~doc:"Sequential vs --jobs N wall-clock on the pool-accelerated \
-             workloads; writes BENCH_parallel.json.")
+             workloads; fails when the two disagree on an answer.")
     Term.(
       const run $ seed_arg
       $ Arg.(
@@ -177,406 +179,50 @@ let parallel_cmd =
           & opt int (Domain.recommended_domain_count ())
           & info [ "jobs"; "j" ] ~docv:"N"
               ~doc:"Worker domains for the parallel side of the comparison.")
-      $ components_arg $ m_arg $ versions_arg $ require_speedup_arg $ out_arg)
-
-let serve_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let sizes_arg =
-    Arg.(
-      value & opt (list int) [ 20; 40; 80 ]
-      & info [ "sizes" ] ~docv:"M,M,..."
-          ~doc:"Pattern sizes (paper generator parameter m) to query at.")
-  in
-  let noise_arg =
-    Arg.(value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for the data graphs.")
-  in
-  let repeats_arg =
-    Arg.(value & opt int 5 & info [ "repeats" ] ~doc:"Warm queries per pair.")
-  in
-  let clients_arg =
-    Arg.(
-      value & opt (list int) [ 1; 4; 8 ]
-      & info [ "clients" ] ~docv:"N,N,..."
-          ~doc:"Concurrent client counts for the socket latency phase.")
-  in
-  let run seed sizes noise repeats clients out =
-    if List.exists (fun m -> m < 1) sizes then begin
-      prerr_endline "bench: --sizes must all be at least 1";
-      exit 1
-    end;
-    if repeats < 1 then begin
-      Printf.eprintf "bench: --repeats must be at least 1 (got %d)\n" repeats;
-      exit 1
-    end;
-    if clients = [] || List.exists (fun c -> c < 1) clients then begin
-      prerr_endline "bench: --clients must name at least one count >= 1";
-      exit 1
-    end;
-    Serve_bench.run ~seed ~sizes ~noise ~repeats ~clients ~out ()
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Daemon cold vs warm query latency on the Fig. 5/6 synthetic \
-             graphs, plus p50/p99 latency under concurrent socket clients; \
-             writes BENCH_serve.json.")
-    Term.(
-      const run $ seed_arg $ sizes_arg $ noise_arg $ repeats_arg $ clients_arg
-      $ out_arg)
+      $ out_arg "parallel")
 
 let recovery_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_recovery.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 80
-      & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for the data graph.")
-  in
-  let repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~doc:"Cold/recovered daemon-life pairs to time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the recovered start is X times cheaper than the \
-                cold start (default 1: strictly cheaper).")
-  in
-  let run seed m noise repeats min_speedup out =
-    if m < 1 || repeats < 1 then begin
-      prerr_endline "bench: --size and --repeats must be at least 1";
-      exit 1
-    end;
-    Recovery_bench.run ~seed ~m ~noise ~repeats ~out ~min_speedup ()
-  in
-  Cmd.v
-    (Cmd.info "recovery"
-       ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
-             recovered start (snapshot + journal replay) to the first \
-             answer; writes BENCH_recovery.json and fails unless recovery \
-             is strictly cheaper.")
-    Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ repeats_arg $ min_speedup_arg
-      $ out_arg)
+  seeded_cmd ~suite:"recovery" Recovery_bench.run
+    ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
+          recovered start (snapshot + journal replay) to the first answer; \
+          fails unless recovery is strictly cheaper and answers the same."
 
-let incr_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_incr.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let sizes_arg =
-    Arg.(
-      value & opt (list int) [ 20; 40; 80 ]
-      & info [ "sizes" ] ~docv:"M,M,..."
-          ~doc:"Pattern sizes (paper generator parameter m) to edit at.")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "noise" ] ~doc:"Noise rate for the data graphs.")
-  in
-  let edits_arg =
-    Arg.(
-      value & opt int 6
-      & info [ "edits" ] ~doc:"Single-edge edits per tracked instance.")
-  in
-  let repeats_arg =
-    Arg.(
-      value & opt int 3
-      & info [ "repeats" ] ~doc:"Timed passes per instance (mean reported).")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Fail unless edit + warm re-solve beats unload + reload + cold \
-                solve by X times on every tracked instance (default 1: \
-                strictly faster).")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_incr.json to gate against: fail when any \
-                tracked instance regresses on edit+re-solve wall-time.")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.50
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; the speedup guard is \
-                the primary signal).")
-  in
-  let run seed sizes noise edits repeats min_speedup out check time_r floor =
-    if sizes = [] || List.exists (fun m -> m < 1) sizes then begin
-      prerr_endline "bench: --sizes must name at least one size >= 1";
-      exit 1
-    end;
-    if edits < 1 || repeats < 1 then begin
-      prerr_endline "bench: --edits and --repeats must be at least 1";
-      exit 1
-    end;
-    Incr_bench.run ~seed ~sizes ~noise ~edits ~repeats ~min_speedup ~out ?check
-      ~max_time_regress:time_r ~time_floor:floor ()
-  in
-  Cmd.v
-    (Cmd.info "incr"
-       ~doc:"Dynamic-graph bench: addedge/deledge + warm re-solve vs unload + \
-             reload + cold solve on the tracked seeded instances; writes \
-             BENCH_incr.json, fails unless the incremental path wins on every \
-             instance and both paths agree on every answer, and optionally \
-             gates against a checked-in baseline.")
+(* the exact and dp suites pin their own seeds: the tracked instances (and
+   the checked-in baselines) are defined by them, unlike the survey benches
+   where the seed only flavours the workload *)
+let engine_cmd ~suite ~seed ~doc run =
+  Cmd.v (Cmd.info suite ~doc)
     Term.(
-      const run $ seed_arg $ sizes_arg $ noise_arg $ edits_arg $ repeats_arg
-      $ min_speedup_arg $ out_arg $ check_arg $ time_regress_arg
-      $ time_floor_arg)
+      const (fun seed jobs out check ->
+          with_pool jobs (fun pool -> run ~seed ?pool ~out ?check ()))
+      $ Arg.(value & opt int seed & info [ "seed" ] ~doc:"Random seed.")
+      $ jobs_arg $ out_arg suite $ check_arg suite)
 
 let exact_cmd =
-  let seed_arg =
-    (* the exact bench pins its own seed: the tracked instances (and the
-       checked-in baseline) are defined by it, unlike the survey benches
-       where the seed only flavours the workload *)
-    Arg.(value & opt int 2 & info [ "seed" ] ~doc:"Random seed.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_exact.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_exact.json to gate against: fail when any \
-                tracked instance regresses on steps-to-optimum or wall-time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "min-step-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the MWC engine takes at least X times fewer B&B \
-                steps than the legacy engine on the tracked instances.")
-  in
-  let step_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-step-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional step regression (steps are \
-                deterministic, so this is effectively exact).")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; steps are the exact \
-                signal).")
-  in
-  let run seed jobs min_speedup out check step_r time_r floor =
-    if jobs < 1 then begin
-      Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    Exact_bench.run ~seed ~jobs ~min_step_speedup:min_speedup ~out ?check
-      ~max_step_regress:step_r ~max_time_regress:time_r ~time_floor:floor ()
-  in
-  Cmd.v
-    (Cmd.info "exact"
-       ~doc:"Exact-path engine bench: legacy colouring B&B vs the bitset MWC \
-             engine on seeded product-graph instances, steps-to-optimum and \
-             wall-clock; writes BENCH_exact.json, fails below the speedup \
-             guard, and optionally gates against a checked-in baseline.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ min_speedup_arg $ out_arg $ check_arg
-      $ step_regress_arg $ time_regress_arg $ time_floor_arg)
+  engine_cmd ~suite:"exact" ~seed:2 Exact_bench.run
+    ~doc:"Exact-path engine bench: legacy colouring B&B vs the bitset MWC \
+          engine on seeded product-graph instances, steps-to-optimum and \
+          wall-clock; fails below the speedup guard, and optionally gates \
+          against a checked-in baseline."
 
 let dp_cmd =
-  let seed_arg =
-    (* like `bench exact`: the tracked instances and the checked-in
-       baseline are defined by the seed *)
-    Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.")
-  in
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_dp.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let check_arg =
-    Arg.(
-      value & opt (some file) None
-      & info [ "check-against" ] ~docv:"FILE"
-          ~doc:"Baseline BENCH_dp.json to gate against: fail when any \
-                tracked instance regresses on steps-to-optimum or wall-time.")
-  in
-  let min_speedup_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "min-step-speedup" ] ~docv:"X"
-          ~doc:"Fail unless the DP takes at least X times fewer budget steps \
-                than the MWC engine on the tracked low-treewidth instances.")
-  in
-  let step_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-step-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional step regression (steps are \
-                deterministic, so this is effectively exact).")
-  in
-  let time_regress_arg =
-    Arg.(
-      value & opt float 0.20
-      & info [ "max-time-regress" ] ~docv:"FRAC"
-          ~doc:"Baseline gate: allowed fractional wall-time regression, on \
-                top of the absolute slack of $(b,--time-floor).")
-  in
-  let time_floor_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "time-floor" ] ~docv:"SECONDS"
-          ~doc:"Baseline gate: absolute wall-time slack added to the \
-                fractional bound (CI runners are noisy; steps are the exact \
-                signal).")
-  in
-  let run seed jobs min_speedup out check step_r time_r floor =
-    if jobs < 1 then begin
-      Printf.eprintf "bench: --jobs must be at least 1 (got %d)\n" jobs;
-      exit 1
-    end;
-    Dp_bench.run ~seed ~jobs ~min_step_speedup:min_speedup ~out ?check
-      ~max_step_regress:step_r ~max_time_regress:time_r ~time_floor:floor ()
-  in
-  Cmd.v
-    (Cmd.info "dp"
-       ~doc:"Tree-decomposition DP vs the MWC engine on seeded low-treewidth \
-             instances, steps-to-optimum and wall-clock; writes \
-             BENCH_dp.json, fails below the speedup guard, and optionally \
-             gates against a checked-in baseline.")
-    Term.(
-      const run $ seed_arg $ jobs_arg $ min_speedup_arg $ out_arg $ check_arg
-      $ step_regress_arg $ time_regress_arg $ time_floor_arg)
+  engine_cmd ~suite:"dp" ~seed:7 Dp_bench.run
+    ~doc:"Tree-decomposition DP vs the MWC engine on seeded low-treewidth \
+          instances, steps-to-optimum and wall-clock; fails below the \
+          speedup guard, and optionally gates against a checked-in \
+          baseline."
 
 let obs_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_obs.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(value & opt int 60 & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for the data graph.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "rounds" ] ~doc:"Alternating enabled/disabled measurement rounds.")
-  in
-  let iters_arg =
-    Arg.(
-      value & opt int 200
-      & info [ "iters" ] ~doc:"Warm solves per round and mode.")
-  in
-  let max_overhead_arg =
-    Arg.(
-      value & opt float 2.0
-      & info [ "max-overhead" ] ~docv:"PCT"
-          ~doc:"Fail when metrics overhead exceeds this many percent.")
-  in
-  let run seed m noise rounds iters max_overhead out =
-    if m < 1 || rounds < 1 || iters < 1 then begin
-      prerr_endline "bench: --size, --rounds and --iters must be at least 1";
-      exit 1
-    end;
-    Obs_bench.run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out ()
-  in
-  Cmd.v
-    (Cmd.info "obs"
-       ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
-             path; writes BENCH_obs.json and fails above the overhead bound.")
-    Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ rounds_arg $ iters_arg
-      $ max_overhead_arg $ out_arg)
+  seeded_cmd ~suite:"obs" Obs_bench.run
+    ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
+          path; fails above the 2% overhead bound."
 
 let fleet_cmd =
-  let out_arg =
-    Arg.(
-      value & opt string "BENCH_fleet.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON report.")
-  in
-  let m_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "size" ] ~doc:"Pattern size (generator parameter m).")
-  in
-  let noise_arg =
-    Arg.(
-      value & opt float 0.1
-      & info [ "noise" ] ~doc:"Noise rate for the data graphs.")
-  in
-  let pairs_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "pairs" ] ~docv:"N"
-          ~doc:"Independent graph pairs, so consistent hashing has keys to \
-                spread across the fleet.")
-  in
-  let rounds_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "rounds" ] ~doc:"Warm routed rounds over every pair.")
-  in
-  let max_blip_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "max-blip" ] ~docv:"SECS"
-          ~doc:"Fail when the failover blip (the one routed request that \
-                spans the kill -9 of its owner) exceeds $(docv) seconds.")
-  in
-  let run seed m noise pairs rounds max_blip out =
-    if m < 1 || pairs < 1 || rounds < 1 then begin
-      prerr_endline "bench: --size, --pairs and --rounds must be at least 1";
-      exit 1
-    end;
-    Fleet_bench.run ~seed ~m ~noise ~pairs ~rounds ~max_blip ~out ()
-  in
-  Cmd.v
-    (Cmd.info "fleet"
-       ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
-             plus the failover blip when a replica is killed -9 mid-workload; \
-             writes BENCH_fleet.json and fails when any routed request errors \
-             or the blip exceeds the bound.")
-    Term.(
-      const run $ seed_arg $ m_arg $ noise_arg $ pairs_arg $ rounds_arg
-      $ max_blip_arg $ out_arg)
+  seeded_cmd ~suite:"fleet" Fleet_bench.run
+    ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
+          plus the failover blip when a replica is killed -9 mid-workload; \
+          fails when any routed request errors, the failover answer changes \
+          or the blip exceeds its bound."
 
 let all_term = Term.(const run_all $ full_arg $ seed_arg $ versions_arg $ mcs_limit_arg $ jobs_arg)
 
@@ -589,5 +235,5 @@ let () =
     (Cmd.eval
        (Cmd.group ~default:all_term info
           [ table2_cmd; table3_cmd; fig5_cmd; fig6_cmd; ablations_cmd; micro_cmd;
-            parallel_cmd; serve_cmd; recovery_cmd; obs_cmd; exact_cmd; dp_cmd;
-            incr_cmd; fleet_cmd; all_cmd ]))
+            parallel_cmd; recovery_cmd; obs_cmd; exact_cmd; dp_cmd; fleet_cmd;
+            all_cmd ]))

@@ -1,14 +1,14 @@
-(* Observability overhead bench: the <2% guard for the metrics layer.
+(* Observability overhead bench: the <= 2% guard for the metrics layer.
 
    The workload is the daemon's warm-serve path — the hottest loop that
    crosses every instrumented seam (solver spans and counters, cache
-   probes, request accounting) without artifact recomputation noise. The
-   same batch of warm solves runs with the registry enabled and with
-   [Obs.set_enabled false], in alternating rounds so clock drift and cache
-   warmth cancel, and the overhead is computed from the two totals.
-
-   Emits BENCH_obs.json and exits non-zero when the overhead exceeds the
-   bound, so CI can hold the line. *)
+   probes, request accounting) without artifact recomputation noise. Warm
+   solves run in timed blocks of [block], with the registry enabled and
+   with [Obs.set_enabled false]; [pairs] on/off block pairs alternate
+   which mode runs first, so clock drift, cache warmth and run order
+   cancel, and the overhead is the ratio of the two totals. A warm solve
+   takes about 0.1 ms, so one block is a few milliseconds and a single
+   slow block moves the total by a small fraction of the bound. *)
 
 module G = Phom_graph.Generators
 module IO = Phom_graph.Graph_io
@@ -37,10 +37,19 @@ let batch st solve ~iters ~enabled =
       done;
       Unix.gettimeofday () -. t0)
 
-let run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out () =
+let m = 60
+let noise = 0.1
+let warmup = 200
+let block = 25
+let pairs = 800
+let max_overhead = 2.0
+
+let run ~seed ~out () =
   Util.heading "Observability: metrics overhead on the warm-serve path";
-  Util.note "pattern m=%d, %d rounds x %d warm solves per mode, bound %.1f%%"
-    m rounds iters max_overhead;
+  Util.note
+    "pattern m=%d, %d on/off pairs of %d-solve blocks, alternating which \
+     runs first, bound %.1f%%"
+    m pairs block max_overhead;
   let rng = Random.State.make [| seed |] in
   let g1, pool = G.paper_pattern ~rng ~m in
   let g2 = G.paper_data ~rng ~pool ~noise g1 in
@@ -62,52 +71,30 @@ let run ~seed ~m ~noise ~rounds ~iters ~max_overhead ~out () =
   let solve = "solve card obs.g1 obs.g2 --sim shingles --xi 0.5" in
   (* cold solve fills the cache; one warm batch per mode warms the code *)
   expect_ok "cold solve" (request st solve);
-  ignore (batch st solve ~iters ~enabled:true);
-  ignore (batch st solve ~iters ~enabled:false);
+  ignore (batch st solve ~iters:warmup ~enabled:true);
+  ignore (batch st solve ~iters:warmup ~enabled:false);
   let on_total = ref 0. and off_total = ref 0. in
-  for _ = 1 to rounds do
-    on_total := !on_total +. batch st solve ~iters ~enabled:true;
-    off_total := !off_total +. batch st solve ~iters ~enabled:false
+  let timed enabled =
+    let t = batch st solve ~iters:block ~enabled in
+    if enabled then on_total := !on_total +. t else off_total := !off_total +. t
+  in
+  for i = 1 to pairs do
+    let first = i mod 2 = 1 in
+    timed first;
+    timed (not first)
   done;
-  let n = float_of_int (rounds * iters) in
-  let on_per = !on_total /. n and off_per = !off_total /. n in
-  let overhead =
-    if !off_total > 0. then (!on_total -. !off_total) /. !off_total *. 100.
-    else 0.
-  in
-  Util.table
-    [ "mode"; "total"; "per query" ]
-    [
-      [ "metrics on"; Util.seconds !on_total; Printf.sprintf "%.6f" on_per ];
-      [ "metrics off"; Util.seconds !off_total; Printf.sprintf "%.6f" off_per ];
-    ];
-  Util.note "overhead: %.2f%% (bound %.1f%%)" overhead max_overhead;
+  let n = float_of_int (pairs * block) in
+  let overhead = (!on_total -. !off_total) /. !off_total *. 100. in
   (* the stats surface stayed live through the run *)
-  let stats = request st "stats" in
-  expect_ok "stats" stats;
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"pattern_m\": %d,\n\
-      \  \"rounds\": %d,\n\
-      \  \"iters_per_round\": %d,\n\
-      \  \"enabled_total_seconds\": %.6f,\n\
-      \  \"disabled_total_seconds\": %.6f,\n\
-      \  \"enabled_seconds_per_query\": %.9f,\n\
-      \  \"disabled_seconds_per_query\": %.9f,\n\
-      \  \"overhead_percent\": %.3f,\n\
-      \  \"max_overhead_percent\": %.1f,\n\
-      \  \"within_bound\": %b\n\
-       }\n"
-      m rounds iters !on_total !off_total on_per off_per overhead max_overhead
-      (overhead <= max_overhead)
+  expect_ok "stats" (request st "stats");
+  let row instance metric unit value =
+    { Bench_gate.suite = "obs"; instance; metric; unit; value }
   in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  if overhead > max_overhead then begin
-    Printf.eprintf "bench obs: %.2f%% overhead exceeds the %.1f%% bound\n"
-      overhead max_overhead;
-    exit 1
-  end
+  Bench_gate.finish ~suite:"obs" ~seed ~out
+    [
+      row "metrics-on" "total" "s" !on_total;
+      row "metrics-on" "per_solve" "s" (!on_total /. n);
+      row "metrics-off" "total" "s" !off_total;
+      row "metrics-off" "per_solve" "s" (!off_total /. n);
+    ]
+    [ Bench_gate.at_most "metrics overhead (%)" overhead max_overhead ]

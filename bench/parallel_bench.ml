@@ -7,10 +7,9 @@
    - web matcher: per-version match jobs of [Matcher.accuracy] spread
      across domains.
 
-   Emits BENCH_parallel.json (also printed to stdout) so CI can upload the
-   numbers as an artifact and the acceptance speedup is machine-checkable.
-   Both workloads assert that the parallel run returns the same answer as
-   the sequential one before reporting any timing. *)
+   The speedups are reported rows, not a guard: pool wins depend on the
+   machine's shape. The guard is that on both workloads the parallel run
+   returns the same answer as the sequential one. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -20,7 +19,7 @@ module Pool = Phom_parallel.Pool
 module Dataset = Phom_web.Dataset
 module Matcher = Phom_web.Matcher
 
-type row = {
+type result = {
   name : string;
   seq_seconds : float;
   par_seconds : float;
@@ -57,17 +56,11 @@ let component_workload ~seed ~components ~m () =
   let mat = Labelsim.matrix lsim g1 g2 in
   Phom.Instance.make ~g1 ~g2 ~mat ~xi:0.75 ()
 
-let time_one f =
-  let x, s = Util.timed f in
-  (* one repetition is enough for a smoke bench: both sides run the same
-     workload, and CI only checks the ratio *)
-  (x, s)
-
 let bench_components ~seed ~components ~m pool =
   let t = component_workload ~seed ~components ~m () in
   let solve p () = Api.solve_within ~partition:true ?pool:p Api.CPH t in
-  let r_seq, seq_seconds = time_one (solve None) in
-  let r_par, par_seconds = time_one (solve (Some pool)) in
+  let r_seq, seq_seconds = Util.timed (solve None) in
+  let r_par, par_seconds = Util.timed (solve (Some pool)) in
   {
     name = "component-fanout";
     seq_seconds;
@@ -86,8 +79,8 @@ let bench_matcher ~seed ~versions pool =
   let accuracy p () =
     Matcher.accuracy ?pool:p Matcher.CompMaxCard ~pattern ~versions:later
   in
-  let (acc_seq, _), seq_seconds = time_one (accuracy None) in
-  let (acc_par, _), par_seconds = time_one (accuracy (Some pool)) in
+  let (acc_seq, _), seq_seconds = Util.timed (accuracy None) in
+  let (acc_par, _), par_seconds = Util.timed (accuracy (Some pool)) in
   {
     name = "web-matcher";
     seq_seconds;
@@ -95,71 +88,35 @@ let bench_matcher ~seed ~versions pool =
     equal_output = acc_seq = acc_par;
   }
 
-let json_of_rows ~jobs rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": %S, \"seq_seconds\": %.6f, \"par_seconds\": %.6f, \
-       \"speedup\": %.3f, \"equal_output\": %b}"
-      r.name r.seq_seconds r.par_seconds
-      (if r.par_seconds > 0. then r.seq_seconds /. r.par_seconds else 0.)
-      r.equal_output
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"jobs\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"workloads\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    jobs
-    (Domain.recommended_domain_count ())
-    (String.concat ",\n" (List.map row_json rows))
+let components = 8
+let m = 40
+let versions = 11
 
-let run ~jobs ~seed ~components ~m ~versions ~out ?(min_speedup = 0.) () =
+let run ~jobs ~seed ~out () =
   Util.heading "Parallel runtime: sequential vs domain pool";
   Util.note "jobs %d (recommended for this machine: %d)" jobs
     (Domain.recommended_domain_count ());
-  let rows =
+  let results =
     Pool.with_pool ~domains:jobs (fun pool ->
         [
           bench_components ~seed ~components ~m pool;
           bench_matcher ~seed ~versions pool;
         ])
   in
-  Util.table
-    [ "workload"; "sequential"; Printf.sprintf "--jobs %d" jobs; "speedup"; "same output" ]
-    (List.map
+  let row instance metric unit value =
+    { Bench_gate.suite = "parallel"; instance; metric; unit; value }
+  in
+  Bench_gate.finish ~suite:"parallel" ~seed ~out
+    (List.concat_map
        (fun r ->
          [
-           r.name;
-           Util.seconds r.seq_seconds;
-           Util.seconds r.par_seconds;
-           Printf.sprintf "%.2fx"
-             (if r.par_seconds > 0. then r.seq_seconds /. r.par_seconds else 0.);
-           string_of_bool r.equal_output;
+           row r.name "sequential" "s" r.seq_seconds;
+           row r.name "pool" "s" r.par_seconds;
+           row r.name "speedup" "x" (r.seq_seconds /. r.par_seconds);
          ])
-       rows);
-  let json = json_of_rows ~jobs rows in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  if List.exists (fun r -> not r.equal_output) rows then begin
-    prerr_endline "parallel output diverged from sequential output";
-    exit 1
-  end;
-  (* optional speedup guard (off by default: pool wins depend on machine
-     shape). CI uses an impossible threshold to assert the guard is live. *)
-  List.iter
-    (fun r ->
-      let speedup =
-        if r.par_seconds > 0. then r.seq_seconds /. r.par_seconds else 0.
-      in
-      if speedup < min_speedup then begin
-        Printf.eprintf
-          "bench parallel: %s speedup %.2fx below the %.2fx guard\n" r.name
-          speedup min_speedup;
-        exit 1
-      end)
-    rows
+       results)
+    [
+      Bench_gate.none "workloads whose parallel output differs"
+        (fun r -> not r.equal_output)
+        results;
+    ]

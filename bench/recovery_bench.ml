@@ -12,8 +12,10 @@
    `health`, and must serve the same replies byte-identically at warm-path
    latency on its very first round.
 
-   Emits BENCH_recovery.json (also printed as a table) and fails when the
-   recovered start is not strictly cheaper than the cold one. *)
+   The guards: the recovered start is strictly cheaper than the cold one
+   (best of [repeats] on each side), every recovered daemon is healthy,
+   and every recovered reply is a cache hit identical to its pre-restart
+   warm reply. *)
 
 module D = Phom_graph.Digraph
 module G = Phom_graph.Generators
@@ -22,7 +24,7 @@ module Daemon = Phom_server.Daemon
 module Protocol = Phom_server.Protocol
 module Journal = Phom_server.Journal
 
-type row = {
+type result = {
   repeat : int;
   cold_seconds : float;  (** empty state dir: start + loads + first solve *)
   warm_seconds : float;
@@ -31,6 +33,7 @@ type row = {
   recovered_solve_seconds : float;  (** first solve after recovery *)
   recovered_hits : bool;
   identical : bool;  (** recovered reply = pre-crash warm reply, byte for byte *)
+  clean : bool;  (** the recovered daemon's health: ready, nothing quarantined *)
 }
 
 let request st line =
@@ -130,9 +133,6 @@ let bench_once ~rng ~m ~noise ~repeat =
       let st2 = Option.get !held2 in
       let health = request st2 "health" in
       expect_ok "health" health;
-      if not (contains ~needle:"state=ready" health
-              && contains ~needle:"quarantined=0" health) then
-        failwith ("bench recovery: recovered daemon is not clean: " ^ health);
       let replies, recovered_solve_seconds =
         Util.timed (fun () -> run_all st2 "recovered solve")
       in
@@ -148,87 +148,60 @@ let bench_once ~rng ~m ~noise ~repeat =
           count_substring ~needle:"cache=closure:hit,mat:hit,cands:hit" replies
           = List.length solves;
         identical = replies = warm_replies;
+        clean =
+          contains ~needle:"state=ready" health
+          && contains ~needle:"quarantined=0" health;
       })
 
-let json_of_rows ~m ~noise rows ~cold ~recovered =
-  let row_json r =
-    Printf.sprintf
-      "    {\"repeat\": %d, \"cold_seconds\": %.6f, \"warm_seconds\": %.6f, \
-       \"snapshot_seconds\": %.6f, \"recovery_seconds\": %.6f, \
-       \"recovered_solve_seconds\": %.6f, \"recovered_hits\": %b, \
-       \"identical\": %b}"
-      r.repeat r.cold_seconds r.warm_seconds r.snapshot_seconds
-      r.recovery_seconds r.recovered_solve_seconds r.recovered_hits r.identical
-  in
-  Printf.sprintf
-    "{\n\
-    \  \"size\": %d,\n\
-    \  \"noise\": %.3f,\n\
-    \  \"cold_start_seconds\": %.6f,\n\
-    \  \"recovered_start_seconds\": %.6f,\n\
-    \  \"speedup\": %.3f,\n\
-    \  \"repeats\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    m noise cold recovered
-    (if recovered > 0. then cold /. recovered else 0.)
-    (String.concat ",\n" (List.map row_json rows))
+let m = 80
+let noise = 0.1
+let repeats = 3
 
-let run ~seed ~m ~noise ~repeats ~out ?(min_speedup = 1.) () =
+let run ~seed ~out () =
   Util.heading "Matching service: cold start vs recovered start";
   Util.note
     "paper synthetic pair (m = %d, noise %.2f), %d repeats; recovered = \
      restart on a populated --state-dir"
     m noise repeats;
   let rng = Random.State.make [| seed |] in
-  let rows =
+  let results =
     List.init repeats (fun i -> bench_once ~rng ~m ~noise ~repeat:(i + 1))
   in
-  Util.table
-    [
-      "repeat"; "cold start"; "warm"; "snapshot"; "recovery"; "first solve";
-      "warm hits"; "same answer";
-    ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.repeat;
-           Util.seconds r.cold_seconds;
-           Util.seconds r.warm_seconds;
-           Util.seconds r.snapshot_seconds;
-           Util.seconds r.recovery_seconds;
-           Util.seconds r.recovered_solve_seconds;
-           string_of_bool r.recovered_hits;
-           string_of_bool r.identical;
-         ])
-       rows);
   (* min over repeats on both sides: the comparison is between the best
      achievable cold start and the best achievable recovered start *)
-  let min_by f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity rows in
+  let min_by f =
+    List.fold_left (fun acc r -> Float.min acc (f r)) infinity results
+  in
   let cold = min_by (fun r -> r.cold_seconds) in
   let recovered =
     min_by (fun r -> r.recovery_seconds +. r.recovered_solve_seconds)
   in
-  Util.note "cold start %ss vs recovered start %ss (%.1fx)"
-    (Util.seconds cold) (Util.seconds recovered)
-    (if recovered > 0. then cold /. recovered else 0.);
-  let json = json_of_rows ~m ~noise rows ~cold ~recovered in
-  let oc = open_out out in
-  output_string oc json;
-  close_out oc;
-  Util.note "wrote %s" out;
-  if List.exists (fun r -> not (r.recovered_hits && r.identical)) rows then begin
-    prerr_endline
-      "recovered solves missed the cache or changed the answer";
-    exit 1
-  end;
-  (* min_speedup 1.0 is the historical "strictly cheaper" bound; CI also
-     runs with an impossible threshold to assert the guard is live *)
-  if not (recovered *. min_speedup < cold) then begin
-    Printf.eprintf
-      "recovered start (%.6fs) is not %.1fx cheaper than a cold start \
-       (%.6fs)\n"
-      recovered min_speedup cold;
-    exit 1
-  end
+  let row instance metric value =
+    { Bench_gate.suite = "recovery"; instance; metric; unit = "s"; value }
+  in
+  Bench_gate.finish ~suite:"recovery" ~seed ~out
+    (List.concat_map
+       (fun r ->
+         let instance = Printf.sprintf "repeat-%d" r.repeat in
+         [
+           row instance "cold_start" r.cold_seconds;
+           row instance "warm" r.warm_seconds;
+           row instance "snapshot" r.snapshot_seconds;
+           row instance "recovery" r.recovery_seconds;
+           row instance "first_solve" r.recovered_solve_seconds;
+         ])
+       results
+    @ [ row "best" "cold_start" cold; row "best" "recovered_start" recovered ])
+    [
+      Bench_gate.below "recovered start < cold start (s)"
+        recovered cold;
+      Bench_gate.none "recovered daemons not ready or quarantining"
+        (fun r -> not r.clean)
+        results;
+      Bench_gate.none "recovered solves that missed the cache"
+        (fun r -> not r.recovered_hits)
+        results;
+      Bench_gate.none "recovered replies unlike the pre-restart ones"
+        (fun r -> not r.identical)
+        results;
+    ]

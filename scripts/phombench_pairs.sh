@@ -12,8 +12,10 @@
 # first, even pairs the change. For every end-to-end metric in
 # BENCHMARK.json the report gives both sides' median and quartiles, how
 # many pairs the change wins, and whether the change's median is worse
-# than the base's by more than the metric's bound. Exits non-zero when a
-# run does not end with "correct": true and "failed": 0.
+# than the base's by more than the metric's bound. After the table it
+# prints the same medians as doc/phombench_trajectory.tsv rows, ready to
+# append. Exits non-zero when a run does not end with "correct": true and
+# "failed": 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,10 +53,10 @@ for i in $(seq 1 "$pairs"); do
   fi
 done
 
-python3 - "$tmp" "$pairs" "$workload" "$base_rev" <<'EOF'
+python3 - "$tmp" "$pairs" "$workload" "$base_rev" "$(git rev-parse --short "$base_rev")" <<'EOF'
 import json, statistics, sys
 
-tmp, pairs, workload, base_rev = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+tmp, pairs, workload, base_rev, base_short = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5]
 bench = json.load(open("BENCHMARK.json"))
 
 def load(side, seed):
@@ -79,6 +81,7 @@ def quartiles(xs):
 
 print(f"{workload}: {pairs} pairs, {bench['run_seconds']} s runs, base {base_rev} vs this checkout")
 print(f"{'metric':<16}{'base median [q1, q3]':>32}{'change median [q1, q3]':>34}{'wins':>7}  median vs base")
+trajectory = []
 if not bad:
     for m in bench["end_to_end"]:
         name, better, bound = m["name"], m["better"], m["bound"]
@@ -99,6 +102,10 @@ if not bad:
         fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
         print(f"{name:<16}{fmt(bq):>32}{fmt(cq):>34}{wins:>4}/{pairs}  {verdict}")
         print(f"  {'pairs':<14}" + " ".join(f"{x:.4g}/{y:.4g}" for x, y in zip(b, c)))
+        trajectory.append(f"{base_short}\t{workload}\t{name}\t{pairs}\t{bq[1]:.4g}\t{cq[1]:.4g}\t{wins}")
+if trajectory:
+    print("\ndoc/phombench_trajectory.tsv rows (base, workload, metric, pairs, base median, change median, wins):")
+    print("\n".join(trajectory))
 for b in bad:
     print(f"FAILED: {b} did not end with \"correct\": true and \"failed\": 0")
 sys.exit(1 if bad else 0)

@@ -89,15 +89,17 @@ case "$WARM" in
 esac
 
 # the stats reply is Prometheus text and must cover every instrumented
-# layer: cache, catalog, daemon, solver spans (the warm solve above ran
-# through them) — one required series per family
+# layer: cache, catalog, daemon, pool, solver spans (the warm solve above
+# ran through them) — one required series per family
 STATS=$("$PHOM" client "$SOCK" stats) || fail "stats"
 for metric in \
     phom_cache_hits_total \
     phom_cache_misses_total \
+    phom_cache_evictions_total \
     phom_catalog_graphs \
     phom_daemon_requests_total \
     phom_daemon_connections_accepted_total \
+    phom_pool_jobs_total \
     phom_solver_solves_total \
     phom_span_seconds_count \
     phom_build_info; do
@@ -106,7 +108,7 @@ for metric in \
     *) fail "stats is missing the $metric series" ;;
     esac
 done
-echo "serve-smoke: stats covers cache/catalog/daemon/solver families"
+echo "serve-smoke: stats covers cache/catalog/daemon/pool/solver families"
 
 # query 3: a 2-step budget must trip into an anytime answer with exit code 2
 set +e
