@@ -258,6 +258,8 @@ let match_cmd =
       compress hops weights dot_out explain timeout steps jobs =
     guard @@ fun () ->
     check_xi xi;
+    if compress && hops <> None then
+      die "--compress needs the full closure and cannot be combined with --hops";
     let budget = budget_of timeout steps in
     let g1 = load_graph pattern and g2 = load_graph data in
     let mat = matrix_of ?file:mat_file sim g1 g2 in

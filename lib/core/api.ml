@@ -57,19 +57,11 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
      record a trip so the caller still learns the result may be partial.
      Atomic because partitioned components may report from worker domains. *)
   let inner_status = Atomic.make Budget.Complete in
-  let exact ?budget sub objective =
-    let o = Exact.solve ~injective:inj ?budget ~objective sub in
-    (match o.Exact.status with
+  let settle (o : Exact.outcome) =
+    (match o.status with
     | Budget.Exhausted _ as s -> Atomic.set inner_status s
     | Budget.Complete -> ());
-    o.Exact.mapping
-  in
-  let dp ?budget sub objective =
-    let o = Dp.solve ~injective:inj ?budget ?pool ~objective sub in
-    (match o.Exact.status with
-    | Budget.Exhausted _ as s -> Atomic.set inner_status s
-    | Budget.Complete -> ());
-    o.Exact.mapping
+    o.mapping
   in
   (* [w] below is always re-indexed to the g1 of the sub-instance at hand
      (partitioning renumbers g1 nodes; compression leaves g1 intact); the
@@ -88,11 +80,19 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
     | Naive_product, (CPH | CPH11) -> Naive.max_card ~injective:inj ?budget sub
     | Naive_product, (SPH | SPH11) ->
         Naive.max_sim ~injective:inj ?budget ~weights:w sub
-    | Dp_td, _ -> dp ?budget sub objective
     (* narrow patterns get the polynomial DP even when the caller asked
        for the B&B: same optimum, tabulation instead of search *)
-    | Exact_bb, _ when Dp.width sub <= max_width -> dp ?budget sub objective
-    | Exact_bb, _ -> exact ?budget sub objective
+    | (Dp_td | Exact_bb), _ ->
+        settle
+          (if algorithm = Dp_td || Dp.width sub <= max_width then
+             Dp.solve ~injective:inj ?budget ?pool ~objective sub
+           else Exact.solve ~injective:inj ?budget ~objective sub)
+  in
+  (* an SCC collapsed to one node takes one pattern node under
+     injectivity, so on the 1-1 problems the exact algorithms skip
+     compression, as every algorithm skips partitioning there *)
+  let compress =
+    compress && not (inj && (algorithm = Exact_bb || algorithm = Dp_td))
   in
   let compressed_algo ?budget sub w =
     if compress then

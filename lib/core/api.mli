@@ -77,7 +77,11 @@ val solve_within :
     [weights] applies to SPH/SPH¹⁻¹ (default all ones). [partition] enables
     the Appendix-B G1 partitioning (p-hom problems only — ignored for the
     1-1 problems, whose mappings cannot be unioned safely); [compress]
-    enables the Appendix-B G2 compression. Both default to [false].
+    enables the Appendix-B G2 compression. Both default to [false]. By the
+    same rule [Exact_bb] and [Dp_td] ignore [compress] on the 1-1 problems:
+    a collapsed SCC could take only one pattern node, so the optimum would
+    fall. [compress] requires [t.tc2] to be the full transitive closure of
+    [g2] ({!Opts.compress}); a hop-bounded closure must not be compressed.
 
     [budget] is a single token shared by every phase the call runs
     (prefilters, clique search, branch and bound); when it trips, the

@@ -2,7 +2,7 @@ module Budget = Phom_graph.Budget
 module Td = Phom_treedecomp.Treedecomp
 module Dpx = Phom_treedecomp.Dp_exact
 
-let width ?heuristic (t : Instance.t) = Td.width ?heuristic t.Instance.g1
+let width (t : Instance.t) = Td.width t.Instance.g1
 
 let pair_value objective (t : Instance.t) =
   match objective with

@@ -11,7 +11,7 @@
     from above and the witness is feasible); otherwise the call falls back
     to the branch-and-bound on the same budget. *)
 
-val width : ?heuristic:Phom_treedecomp.Treedecomp.heuristic -> Instance.t -> int
+val width : Instance.t -> int
 (** Width of the greedy decomposition of [g1] — the auto-selection probe.
     [-1] for an empty pattern. *)
 

@@ -1,5 +1,9 @@
 (** Exact solver: optimal (1-1) p-hom mappings and the NP-complete decision
-    problems, by branch-and-bound.
+    problems, by one assignment-tree branch and bound that [solve],
+    [enumerate_optimal] and [decide] share: pattern nodes scarcest
+    candidate row first, each tried against its candidates (and, for the
+    optimisation passes, left unmapped), subtrees cut by a per-node
+    best-value suffix bound.
 
     Exponential in the worst case — Theorems 4.1/4.3 say nothing better is
     possible — but practical on small graphs. It serves three roles: the
@@ -36,10 +40,11 @@ val enumerate_optimal :
   objective:objective ->
   Instance.t ->
   Mapping.t list * bool
-(** All optimal mappings (up to [limit], default 100), lexicographically
-    de-duplicated, and whether the enumeration is exhaustive (false when
-    the budget or the limit truncated it). Applications use this to present
-    every witness — e.g. all maximal plagiarism correspondences. *)
+(** All optimal mappings (up to [limit], default 100), in lexicographic
+    order, and whether the enumeration is exhaustive: false when the budget
+    ran out, or when a further optimum beyond the first [limit] exists.
+    Applications use this to present every witness — e.g. all maximal
+    plagiarism correspondences. *)
 
 val decide :
   ?injective:bool ->

@@ -52,7 +52,10 @@ type compressed = {
 }
 
 val compress : Instance.t -> compressed
-(** [mat'] of the sub-instance is the member-wise maximum of [mat]. *)
+(** [mat'] of the sub-instance is the member-wise maximum of [mat].
+    Requires [t.tc2] to be the full transitive closure of [g2]: an SCC is
+    a clique of [G2⁺] but not of a hop-bounded closure, and the
+    sub-instance recomputes the full closure over the condensation. *)
 
 val decompress : ?injective:bool -> compressed -> Mapping.t -> Mapping.t
 (** Translate a mapping into [G2*] back to concrete [G2] nodes. *)

@@ -176,6 +176,8 @@ let parse_solve_flags ?(context = `Solve) init flags =
   | Ok () -> (
       match (!mat_flag, !sim_flag) with
       | Some _, Some _ -> err "--mat and --sim are mutually exclusive"
+      | _ when !s.compress && !s.hops <> None ->
+          err "--compress needs the full closure and cannot be combined with --hops"
       | Some name, None -> Ok { !s with sim = Catalog.Named name }
       | None, Some sim -> Ok { !s with sim }
       | None, None -> Ok !s)

@@ -30,6 +30,8 @@
     into the data graph under the same candidate semantics as [solve]; it
     always runs the tree-decomposition DP, so the solve-only flags
     [--algorithm], [--partition] and [--compress] are rejected on it.
+    [--compress] is also refused beside [--hops]: compression is sound only
+    on the full closure.
 
     [addedge]/[deledge] (protocol 5) mutate a loaded graph in place — one
     directed edge per request — while the daemon maintains the derived

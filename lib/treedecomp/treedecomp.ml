@@ -1,7 +1,5 @@
 module D = Phom_graph.Digraph
 
-type heuristic = Min_degree | Min_fill
-
 type t = {
   bags : int array array;
   parent : int array;
@@ -23,7 +21,7 @@ type nice = {
 (* Greedy elimination                                               *)
 (* ---------------------------------------------------------------- *)
 
-let compute ?(heuristic = Min_degree) g =
+let compute g =
   let n = D.n g in
   (* underlying undirected adjacency; self-loops never affect width *)
   let adj = Array.init n (fun _ -> Hashtbl.create 8) in
@@ -40,34 +38,17 @@ let compute ?(heuristic = Min_degree) g =
   let neighbours v =
     List.sort compare (Hashtbl.fold (fun w () acc -> w :: acc) adj.(v) [])
   in
-  let fill_in v =
-    let ns = neighbours v in
-    let missing = ref 0 in
-    let rec pairs = function
-      | [] -> ()
-      | a :: rest ->
-          List.iter (fun b -> if not (Hashtbl.mem adj.(a) b) then incr missing) rest;
-          pairs rest
-    in
-    pairs ns;
-    !missing
-  in
-  let score v =
-    match heuristic with
-    | Min_degree -> Hashtbl.length adj.(v)
-    | Min_fill -> fill_in v
-  in
   let order = Array.make n (-1) in
   let bags = Array.make n [||] in
   for i = 0 to n - 1 do
-    (* minimum score, ties towards the smallest id: deterministic *)
-    let best = ref (-1) and best_score = ref max_int in
+    (* minimum degree, ties towards the smallest id: deterministic *)
+    let best = ref (-1) and best_degree = ref max_int in
     for v = 0 to n - 1 do
       if alive.(v) then begin
-        let s = score v in
-        if s < !best_score then begin
+        let d = Hashtbl.length adj.(v) in
+        if d < !best_degree then begin
           best := v;
-          best_score := s
+          best_degree := d
         end
       end
     done;
@@ -100,7 +81,7 @@ let compute ?(heuristic = Min_degree) g =
   let width = Array.fold_left (fun acc b -> max acc (Array.length b - 1)) (-1) bags in
   { bags; parent; order; width }
 
-let width ?heuristic g = (compute ?heuristic g).width
+let width g = (compute g).width
 
 (* ---------------------------------------------------------------- *)
 (* Nice form                                                        *)

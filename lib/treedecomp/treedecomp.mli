@@ -3,22 +3,18 @@
     The decomposition is computed on the underlying undirected graph of a
     {!Phom_graph.Digraph.t} (edge directions and self-loops are irrelevant
     to width) by greedy vertex elimination: repeatedly eliminate the vertex
-    of minimum degree (or minimum fill-in), record the vertex plus its
-    current neighbourhood as a bag, and turn the neighbourhood into a
-    clique. The bags hang off each other along the elimination order,
-    giving a valid tree decomposition whose width is an upper bound on the
-    true treewidth — exact on trees, series-parallel graphs and full
-    k-trees, heuristic in general.
+    of minimum degree, record the vertex plus its current neighbourhood as
+    a bag, and turn the neighbourhood into a clique. The bags hang off
+    each other along the elimination order, giving a valid tree
+    decomposition whose width is an upper bound on the true treewidth —
+    exact on trees, series-parallel graphs and full k-trees, heuristic in
+    general.
 
     The nice form rewrites that tree into the classic four-node grammar
     (leaf / introduce / forget / join, empty root bag) that the
     {!Dp_exact} dynamic program consumes. Everything here is deterministic:
     ties in the elimination order break towards the smallest vertex id, so
     the same graph always yields the same decomposition. *)
-
-type heuristic =
-  | Min_degree  (** eliminate the vertex of minimum current degree *)
-  | Min_fill  (** eliminate the vertex adding the fewest fill-in edges *)
 
 type t = {
   bags : int array array;  (** bag [i] (sorted) for elimination step [i] *)
@@ -27,10 +23,10 @@ type t = {
   width : int;  (** max bag size - 1; [-1] for the empty graph *)
 }
 
-val compute : ?heuristic:heuristic -> Phom_graph.Digraph.t -> t
-(** Decompose the underlying undirected graph. Defaults to {!Min_degree}. *)
+val compute : Phom_graph.Digraph.t -> t
+(** Decompose the underlying undirected graph. *)
 
-val width : ?heuristic:heuristic -> Phom_graph.Digraph.t -> int
+val width : Phom_graph.Digraph.t -> int
 (** [width g] = [(compute g).width] — the cheap eligibility probe used by
     algorithm auto-selection. *)
 

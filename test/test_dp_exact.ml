@@ -332,6 +332,9 @@ let test_hand_counts () =
       (graph [ "a"; "a"; "b" ] [ (0, 2); (1, 2) ])
   in
   Alcotest.(check int) "two paths" 2 (Dp.count t).Dp.count;
+  (* a forest of two isolated a's over three a's: 3 x 3 *)
+  let t = eq_instance (graph [ "a"; "a" ] []) (graph [ "a"; "a"; "a" ] []) in
+  Alcotest.(check int) "independent roots" 9 (Dp.count t).Dp.count;
   (* unmatchable node kills every total mapping *)
   let t = eq_instance (graph [ "z" ] []) (graph [ "a" ] []) in
   Alcotest.(check int) "empty candidate row" 0 (Dp.count t).Dp.count;

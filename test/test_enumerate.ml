@@ -11,7 +11,16 @@ let test_two_witnesses () =
   Alcotest.(check bool) "exhaustive" true exhaustive;
   Alcotest.(check (list (list (pair int int)))) "both witnesses"
     [ [ (0, 0) ]; [ (0, 1) ] ]
-    mappings
+    mappings;
+  (* exactly [limit] optima is no truncation; one more than [limit] is *)
+  let enumerate limit =
+    Exact.enumerate_optimal ~limit ~objective:Exact.Cardinality t
+  in
+  Alcotest.(check bool) "limit 2 exhaustive" true (snd (enumerate 2));
+  let mappings, exhaustive = enumerate 1 in
+  Alcotest.(check bool) "limit 1 truncated" false exhaustive;
+  Alcotest.(check (list (list (pair int int)))) "limit 1 keeps the first"
+    [ [ (0, 0) ] ] mappings
 
 let test_limit_truncates () =
   let g1 = graph [ "a"; "a" ] [] and g2 = graph [ "a"; "a"; "a" ] [] in

@@ -10,7 +10,8 @@
    needed a 5M-step safety net; the MWC oracle gets 150k and must still
    prove optimality on every instance). Every 5th seed additionally runs
    the legacy assignment-tree oracle and requires the two optima to agree,
-   so the reduction itself stays covered.
+   so the reduction itself stays covered, plain and again under each of
+   --compress and --partition.
 
    For every seeded instance and every problem variant:
    - the heuristic's mapping is a valid (1-1) p-hom mapping,
@@ -153,19 +154,24 @@ let check_instance i =
           oracle_quality dp.Api.quality
       end;
       (* keep the reduction honest: on a sample of seeds the legacy
-         assignment-tree oracle must find the same optimum value *)
-      if i mod 5 = 0 then begin
-        let legacy =
-          Api.solve_within ~algorithm:Api.Exact_bb ~weights problem t
-        in
-        Alcotest.(check bool)
-          (name "legacy oracle completes")
-          true
-          (legacy.Api.status = Budget.Complete);
-        Alcotest.(check (float 1e-6))
-          (name "oracles agree")
-          legacy.Api.quality oracle_quality
-      end)
+         assignment-tree oracle must find the same optimum value, plain and
+         under either Appendix-B option *)
+      if i mod 5 = 0 then
+        List.iter
+          (fun (route, compress, partition) ->
+            let legacy =
+              Api.solve_within ~algorithm:Api.Exact_bb ~compress ~partition
+                ~weights problem t
+            in
+            Alcotest.(check bool)
+              (name "legacy oracle completes%s" route)
+              true
+              (legacy.Api.status = Budget.Complete);
+            Alcotest.(check (float 1e-6))
+              (name "oracles agree%s" route)
+              legacy.Api.quality oracle_quality)
+          [ ("", false, false); (" (compress)", true, false);
+            (" (partition)", false, true) ])
     problems
 
 (* chunked so a failure points at a narrow seed range and the suite shows

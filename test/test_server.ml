@@ -169,25 +169,30 @@ let test_protocol_parse_ok () =
   (match Protocol.parse "load graph g2 /tmp/g2.phg" with
   | Ok (Protocol.Load_graph { name = "g2"; path = "/tmp/g2.phg" }) -> ()
   | _ -> Alcotest.fail "load graph");
-  match
-    Protocol.parse
+  let solve line =
+    match Protocol.parse line with
+    | Ok (Protocol.Solve s) -> s
+    | Ok _ -> Alcotest.fail "parsed as a non-solve"
+    | Error m -> Alcotest.failf "parse failed: %s" m
+  in
+  (* --hops and --compress cannot share a request: one line each *)
+  let s =
+    solve
       "solve card11 pat store --sim shingles --xi 0.5 --hops 3 --timeout 1.5 \
-       --steps 100 --algorithm exact --partition --compress --jobs 1"
-  with
-  | Ok (Protocol.Solve s) ->
-      Alcotest.(check string) "problem" "card11" (Protocol.problem_token s.Protocol.problem);
-      Alcotest.(check string) "g1" "pat" s.Protocol.g1;
-      Alcotest.(check string) "g2" "store" s.Protocol.g2;
-      Alcotest.(check string) "sim" "shingles" (Catalog.sim_to_string s.Protocol.sim);
-      Alcotest.(check (float 1e-9)) "xi" 0.5 s.Protocol.xi;
-      Alcotest.(check (option int)) "hops" (Some 3) s.Protocol.hops;
-      Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5) s.Protocol.timeout;
-      Alcotest.(check (option int)) "steps" (Some 100) s.Protocol.steps;
-      Alcotest.(check bool) "partition" true s.Protocol.partition;
-      Alcotest.(check bool) "compress" true s.Protocol.compress;
-      Alcotest.(check bool) "sequential" true s.Protocol.sequential
-  | Ok _ -> Alcotest.fail "parsed as a non-solve"
-  | Error m -> Alcotest.failf "parse failed: %s" m
+       --steps 100 --algorithm exact --partition --jobs 1"
+  in
+  Alcotest.(check string) "problem" "card11" (Protocol.problem_token s.Protocol.problem);
+  Alcotest.(check string) "g1" "pat" s.Protocol.g1;
+  Alcotest.(check string) "g2" "store" s.Protocol.g2;
+  Alcotest.(check string) "sim" "shingles" (Catalog.sim_to_string s.Protocol.sim);
+  Alcotest.(check (float 1e-9)) "xi" 0.5 s.Protocol.xi;
+  Alcotest.(check (option int)) "hops" (Some 3) s.Protocol.hops;
+  Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5) s.Protocol.timeout;
+  Alcotest.(check (option int)) "steps" (Some 100) s.Protocol.steps;
+  Alcotest.(check bool) "partition" true s.Protocol.partition;
+  Alcotest.(check bool) "sequential" true s.Protocol.sequential;
+  let s = solve "solve card11 pat store --compress" in
+  Alcotest.(check bool) "compress" true s.Protocol.compress
 
 let test_protocol_parse_errors () =
   let expect_error line =
@@ -212,6 +217,8 @@ let test_protocol_parse_errors () =
       "solve card a b --algorithm quantum";
       "solve card a b --sim cosine";
       "solve card a b --sim equality --mat m";
+      "solve card a b --hops 1 --compress";
+      "solve card a b --compress --hops 2";
       "solve card a b --frobnicate";
     ]
 

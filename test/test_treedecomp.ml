@@ -12,24 +12,19 @@ let ok_or_fail name = function
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: %s" name e
 
-let check_both name g =
-  List.iter
-    (fun (hname, h) ->
-      let td = Td.compute ~heuristic:h g in
-      ok_or_fail (name ^ " " ^ hname) (Td.check g td);
-      let nt = Td.nice td in
-      ok_or_fail (name ^ " " ^ hname ^ " nice") (Td.check_nice g nt);
-      Alcotest.(check int)
-        (name ^ " " ^ hname ^ " widths agree")
-        td.Td.width nt.Td.nwidth)
-    [ ("min-degree", Td.Min_degree); ("min-fill", Td.Min_fill) ]
+let check_valid name g =
+  let td = Td.compute g in
+  ok_or_fail name (Td.check g td);
+  let nt = Td.nice td in
+  ok_or_fail (name ^ " nice") (Td.check_nice g nt);
+  Alcotest.(check int) (name ^ " widths agree") td.Td.width nt.Td.nwidth
 
 let test_random_graphs () =
   for seed = 0 to 39 do
     let rng = Random.State.make [| 0xdec0; seed |] in
     let n = 1 + Random.State.int rng 12 in
     let m = min (Random.State.int rng (2 * n)) (n * (n - 1) / 2) in
-    check_both
+    check_valid
       (Printf.sprintf "er seed %d" seed)
       (G.erdos_renyi ~rng ~n ~m ~labels:lbl)
   done
@@ -38,14 +33,14 @@ let test_structured_graphs () =
   for seed = 0 to 19 do
     let rng = Random.State.make [| 0xdec1; seed |] in
     let n = 2 + Random.State.int rng 14 in
-    check_both (Printf.sprintf "tree seed %d" seed) (G.random_tree ~rng ~n ~labels:lbl);
-    check_both
+    check_valid (Printf.sprintf "tree seed %d" seed) (G.random_tree ~rng ~n ~labels:lbl);
+    check_valid
       (Printf.sprintf "sp seed %d" seed)
       (G.series_parallel ~rng ~n ~labels:lbl);
-    check_both
+    check_valid
       (Printf.sprintf "ktree seed %d" seed)
       (G.random_ktree ~rng ~n ~k:3 ~labels:lbl ());
-    check_both
+    check_valid
       (Printf.sprintf "partial ktree seed %d" seed)
       (G.random_ktree ~rng ~n ~k:3 ~keep:0.6 ~labels:lbl ())
   done
@@ -78,10 +73,10 @@ let test_degenerate () =
   ok_or_fail "empty nice" (Td.check_nice empty nt);
   let single = D.make ~labels:[| "a" |] ~edges:[ (0, 0) ] in
   Alcotest.(check int) "self-loop single width" 0 (Td.width single);
-  check_both "self-loop single" single;
+  check_valid "self-loop single" single;
   (* disconnected components must still merge into one rooted nice tree *)
   let islands = D.make ~labels:[| "a"; "b"; "c" |] ~edges:[] in
-  check_both "islands" islands;
+  check_valid "islands" islands;
   let nt = Td.nice (Td.compute islands) in
   Alcotest.(check int)
     "islands root is last node"
