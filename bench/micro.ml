@@ -14,6 +14,15 @@ let rng () = Random.State.make [| 17 |]
 (* fixed inputs, built once *)
 let er300 = G.erdos_renyi ~rng:(rng ()) ~n:300 ~m:1200 ~labels:(fun i -> "n" ^ string_of_int i)
 
+(* cache-churn's data-graph shape: preferential attachment, n = 3000, out = 3,
+   labels from a 100-label pool that its 20-node patterns also draw from *)
+let pa3000 =
+  let rng = rng () in
+  G.preferential_attachment ~rng ~n:3000 ~out:3 ~labels:(fun _ ->
+      G.label_name (Random.State.int rng 100))
+
+let pattern20 = fst (G.paper_pattern ~rng:(rng ()) ~m:20)
+
 let synth_instance m =
   let rng = rng () in
   let g1, pool = G.paper_pattern ~rng ~m in
@@ -40,6 +49,10 @@ let tests =
     [
       Test.make ~name:"transitive-closure/er-300-1200"
         (Staged.stage (fun () -> ignore (TC.compute er300)));
+      Test.make ~name:"transitive-closure/pa-3000"
+        (Staged.stage (fun () -> ignore (TC.compute pa3000)));
+      Test.make ~name:"label-equality/20x3000"
+        (Staged.stage (fun () -> ignore (Phom_sim.Simmat.of_label_equality pattern20 pa3000)));
       Test.make ~name:"scc/er-300-1200"
         (Staged.stage (fun () -> ignore (Phom_graph.Scc.compute er300)));
       Test.make ~name:"compMaxCard/synthetic-m100"

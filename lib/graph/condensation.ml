@@ -9,21 +9,17 @@ let compress g =
   let scc = Scc.compute g in
   let count = scc.Scc.count in
   let members = Scc.members scc in
-  let cyclic = Array.make count false in
-  Array.iteri (fun c ms -> if List.length ms > 1 then cyclic.(c) <- true) members;
-  Digraph.iter_edges (fun u v -> if u = v then cyclic.(scc.Scc.comp.(u)) <- true) g;
+  let cyclic = Scc.cyclic g scc in
   (* Component-level reachability: same reverse-topological sweep as the
      transitive closure, but over component ids. *)
-  let comp_succ = Array.make count [] in
-  List.iter (fun (c, d) -> comp_succ.(c) <- d :: comp_succ.(c)) (Scc.condensation_edges g scc);
+  let start, succ = Scc.successors g scc in
   let reach = Array.init count (fun _ -> Bitset.create count) in
   let edge_list = ref [] in
   for c = 0 to count - 1 do
-    List.iter
-      (fun d ->
-        Bitset.add reach.(c) d;
-        Bitset.union_into ~into:reach.(c) reach.(d))
-      comp_succ.(c);
+    for i = start.(c) to start.(c + 1) - 1 do
+      Bitset.add reach.(c) succ.(i);
+      Bitset.union_into ~into:reach.(c) reach.(succ.(i))
+    done;
     Bitset.iter (fun d -> edge_list := (c, d) :: !edge_list) reach.(c);
     if cyclic.(c) then edge_list := (c, c) :: !edge_list
   done;

@@ -1,6 +1,7 @@
 (** The Appendix-B compression of [G₂⁺]: every SCC of [G₂] forms a clique in
     the transitive closure, so it is replaced by a single node carrying the
-    bag of its labels and a self-loop. The compressed graph [G₂*] has one
+    bag of its labels, with a self-loop when the component is cyclic (two or
+    more nodes, or a self-loop in [G₂]). The compressed graph [G₂*] has one
     node per SCC and an edge [c → d] iff some member of [c] reaches some
     member of [d] by a non-empty path; since reachability between components
     is transitive, [G₂*] is its own transitive closure (modulo self-loops on

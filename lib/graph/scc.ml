@@ -73,20 +73,38 @@ let sizes t =
   Array.iter (fun c -> out.(c) <- out.(c) + 1) t.comp;
   out
 
-let is_trivial g t c =
-  let ms = members t in
-  match ms.(c) with
-  | [ v ] -> not (Digraph.has_edge g v v)
-  | _ -> false
+let cyclic g t =
+  let out = Array.make t.count false in
+  Array.iteri (fun c s -> if s > 1 then out.(c) <- true) (sizes t);
+  Digraph.iter_edges (fun u v -> if u = v then out.(t.comp.(u)) <- true) g;
+  out
 
-let condensation_edges g t =
-  let seen = Hashtbl.create 97 in
-  Digraph.fold_edges
-    (fun u v acc ->
-      let cu = t.comp.(u) and cv = t.comp.(v) in
-      if cu <> cv && not (Hashtbl.mem seen (cu, cv)) then begin
-        Hashtbl.add seen (cu, cv) ();
-        (cu, cv) :: acc
-      end
-      else acc)
-    g []
+let successors g t =
+  (* members chained ascending: [next.(u)] is the member after [u], or -1 *)
+  let n = Array.length t.comp in
+  let head = Array.make t.count (-1) and next = Array.make n (-1) in
+  for u = n - 1 downto 0 do
+    next.(u) <- head.(t.comp.(u));
+    head.(t.comp.(u)) <- u
+  done;
+  (* [stamp.(d) = c] once [d] is listed for [c]; a component's members are
+     scanned together, so the stamp dedups without a hash table *)
+  let stamp = Array.make t.count (-1) in
+  let start = Array.make (t.count + 1) 0 and succ = Array.make (Digraph.nb_edges g) 0 in
+  for c = 0 to t.count - 1 do
+    let len = ref start.(c) and u = ref head.(c) in
+    while !u >= 0 do
+      Array.iter
+        (fun v ->
+          let d = t.comp.(v) in
+          if d <> c && stamp.(d) <> c then begin
+            stamp.(d) <- c;
+            succ.(!len) <- d;
+            incr len
+          end)
+        (Digraph.succ g !u);
+      u := next.(!u)
+    done;
+    start.(c + 1) <- !len
+  done;
+  (start, succ)

@@ -16,9 +16,13 @@ val members : t -> int list array
 
 val sizes : t -> int array
 
-val is_trivial : Digraph.t -> t -> int -> bool
-(** [is_trivial g scc c] is true when component [c] is a single node without
-    a self-loop — i.e. it contributes no cycle. *)
+val cyclic : Digraph.t -> t -> bool array
+(** [cyclic g scc].(c) is true when component [c] contributes a cycle: it
+    has at least two nodes or a member with a self-loop. *)
 
-val condensation_edges : Digraph.t -> t -> (int * int) list
-(** Distinct edges between distinct components, as component-id pairs. *)
+val successors : Digraph.t -> t -> int array * int array
+(** [successors g scc] is [(start, succ)]: the distinct components other
+    than [c] that an edge of [g] leaves [c] for are
+    [succ.(start.(c))] … [succ.(start.(c + 1) - 1)], in the order those
+    edges are first met scanning [c]'s members ascending and each member's
+    successors in order. Linear in the size of [g]. *)

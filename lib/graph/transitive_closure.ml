@@ -1,47 +1,50 @@
-let cyclic_comps g scc =
-  let cyclic = Array.make scc.Scc.count false in
-  let sz = Scc.sizes scc in
-  Array.iteri (fun c s -> if s > 1 then cyclic.(c) <- true) sz;
-  Digraph.iter_edges (fun u v -> if u = v then cyclic.(scc.Scc.comp.(u)) <- true) g;
-  cyclic
-
 let compute ?budget g =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let n = Digraph.n g in
   let scc = Scc.compute g in
-  let count = scc.Scc.count in
-  let cyclic = cyclic_comps g scc in
-  (* member bits of each component, over node columns *)
-  let memb = Bitmatrix.create ~rows:count ~cols:n in
-  Array.iteri (fun v c -> Bitmatrix.set memb c v true) scc.Scc.comp;
-  (* distinct condensation successors of each component *)
-  let comp_succ = Array.make count [] in
-  List.iter
-    (fun (c, d) -> comp_succ.(c) <- d :: comp_succ.(c))
-    (Scc.condensation_edges g scc);
-  (* components are numbered in reverse topological order: an edge c→d between
-     distinct components has c > d, so sweeping c = 0, 1, ... visits every
-     successor before its predecessors. An exhausted budget stops the sweep:
-     the matrix built from a prefix under-approximates reachability, which
-     every client treats conservatively (fewer candidate paths, never a
-     spurious one). *)
-  let reach = Bitmatrix.create ~rows:count ~cols:n in
-  (try
-     for c = 0 to count - 1 do
-       List.iter
-         (fun d ->
-           Budget.tick_exn budget;
-           Bitmatrix.or_row ~from:memb ~src:d ~into:reach ~dst:c;
-           Bitmatrix.or_row_into reach ~dst:c ~src:d)
-         comp_succ.(c);
-       Budget.tick_exn budget;
-       if cyclic.(c) then Bitmatrix.or_row ~from:memb ~src:c ~into:reach ~dst:c
-     done
-   with Budget.Exhausted_budget -> ());
-  let t = Bitmatrix.create ~rows:n ~cols:n in
-  for u = 0 to n - 1 do
-    Bitmatrix.or_row ~from:reach ~src:scc.Scc.comp.(u) ~into:t ~dst:u
+  let members = Scc.members scc in
+  let start, succ = Scc.successors g scc and cyclic = Scc.cyclic g scc in
+  (* each component's row is built at its lowest member and copied to the
+     others *)
+  let first = Array.make scc.Scc.count 0 in
+  for u = n - 1 downto 0 do
+    first.(scc.Scc.comp.(u)) <- u
   done;
+  let t = Bitmatrix.create ~rows:n ~cols:n in
+  (* components are numbered in reverse topological order: an edge c→d between
+     distinct components has c > d, so sweeping c = 0, 1, ... finishes every
+     successor's row before a predecessor reads it. A cyclic successor's row
+     already holds its members; an acyclic one is a single node whose bit is
+     set. One tick per distinct successor, one per component. *)
+  let build c =
+    let r = first.(c) in
+    for i = start.(c) to start.(c + 1) - 1 do
+      let d = succ.(i) in
+      Budget.tick_exn budget;
+      Bitmatrix.or_row_into t ~dst:r ~src:first.(d);
+      if not cyclic.(d) then Bitmatrix.set t r first.(d) true
+    done;
+    Budget.tick_exn budget;
+    if cyclic.(c) then List.iter (fun u -> Bitmatrix.set t r u true) members.(c)
+  in
+  let share c =
+    let r = first.(c) in
+    List.iter
+      (fun u -> if u <> r then Bitmatrix.or_row ~from:t ~src:r ~into:t ~dst:u)
+      members.(c)
+  in
+  (* An exhausted budget stops the sweep: the component being built shares
+     its partial row, later ones stay empty. The matrix under-approximates
+     reachability, which every client treats conservatively (fewer candidate
+     paths, never a spurious one). *)
+  let c = ref 0 in
+  (try
+     while !c < scc.Scc.count do
+       build !c;
+       share !c;
+       incr c
+     done
+   with Budget.Exhausted_budget -> share !c);
   t
 
 let graph ?budget g =

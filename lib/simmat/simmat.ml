@@ -40,7 +40,20 @@ let of_label_sim f g1 g2 =
   of_fun ~n1:(D.n g1) ~n2:(D.n g2) (fun v u -> f (D.label g1 v) (D.label g2 u))
 
 let of_label_equality g1 g2 =
-  of_label_sim (fun a b -> if String.equal a b then 1. else 0.) g1 g2
+  let module D = Phom_graph.Digraph in
+  let m = create ~n1:(D.n g1) ~n2:(D.n g2) in
+  (* label → the pattern nodes carrying it, so each data node writes only
+     its 1.0 entries *)
+  let rows = Hashtbl.create (max 1 m.rows) in
+  for v = 0 to m.rows - 1 do
+    Hashtbl.add rows (D.label g1 v) v
+  done;
+  for u = 0 to m.cols - 1 do
+    List.iter
+      (fun v -> m.data.((v * m.cols) + u) <- 1.)
+      (Hashtbl.find_all rows (D.label g2 u))
+  done;
+  m
 
 let candidates m ~xi =
   Array.init m.rows (fun v ->

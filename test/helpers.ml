@@ -54,6 +54,65 @@ let dag_gen ?(min_n = 1) ?(max_n = 8) ?(labels = small_labels)
 
 let print_digraph g = Format.asprintf "%a" D.pp g
 
+(* planted components: cycles of 2–8 nodes (some with chords), singletons
+   (some with self-loops) and fans of singletons into one cycle, joined by
+   random edges from later blocks to earlier ones (so the planted cycles
+   stay the components) and relabelled by a random permutation. These are
+   the shapes where the closure's cyclic-successor shortcut and its member
+   copy run, which [digraph_gen] rarely makes. *)
+let planted_scc_gen ?(max_n = 60) ?(labels = small_labels) () : D.t QCheck.Gen.t =
+ fun st ->
+  let int k = Random.State.int st k in
+  let block = ref [] and edges = ref [] and n = ref 0 and nblocks = ref 0 in
+  let fresh k =
+    let b = !n in
+    n := !n + k;
+    block := List.init k (fun _ -> !nblocks) @ !block;
+    incr nblocks;
+    b
+  in
+  let cycle () =
+    let k = 2 + int 7 in
+    let b = fresh k in
+    for i = 0 to k - 1 do
+      edges := (b + i, b + ((i + 1) mod k)) :: !edges
+    done;
+    if k > 2 && int 2 = 0 then edges := (b + int k, b + int k) :: !edges;
+    (b, k)
+  in
+  (* each block adds at most 16 nodes *)
+  let target = 8 + int (max 1 (max_n - 15)) in
+  while !n + 8 <= target do
+    match int 3 with
+    | 0 -> ignore (cycle ())
+    | 1 ->
+        let v = fresh 1 in
+        if int 2 = 0 then edges := (v, v) :: !edges
+    | _ ->
+        let b, k = cycle () in
+        for _ = 1 to 1 + int 8 do
+          let v = fresh 1 in
+          edges := (v, b + int k) :: !edges
+        done
+  done;
+  let n = !n in
+  let block = Array.of_list (List.rev !block) in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if block.(u) > block.(v) && int 40 = 0 then edges := (u, v) :: !edges
+    done
+  done;
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = int (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  D.make
+    ~labels:(Array.init n (fun _ -> labels.(int (Array.length labels))))
+    ~edges:(List.map (fun (u, v) -> (perm.(u), perm.(v))) !edges)
+
 (* random instance: pair of graphs plus a random similarity matrix whose
    entries are snapped to {0, 0.4, 0.8, 1.0} so thresholds bite *)
 let instance_gen ?(max_n1 = 6) ?(max_n2 = 8) ?(xi = 0.5) () :

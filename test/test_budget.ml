@@ -359,11 +359,13 @@ let test_grid_simulation () =
    and all of them are bits of the full closure *)
 let test_grid_closures () =
   let rng = Random.State.make [| 41 |] in
-  let g =
+  let er =
     Phom_graph.Generators.erdos_renyi ~rng ~n:20 ~m:45 ~labels:(fun i ->
         "n" ^ string_of_int i)
   in
-  let check_one name compute full =
+  (* cycles, self-loops and fans: trips land inside multi-node components *)
+  let planted = planted_scc_gen ~max_n:40 () (Random.State.make [| 43 |]) in
+  let check_one name compute full g =
     let count m =
       let c = ref 0 in
       for u = 0 to Phom_graph.Digraph.n g - 1 do
@@ -394,12 +396,15 @@ let test_grid_closures () =
         prev := c)
       trip_points
   in
-  check_one "transitive_closure"
-    (fun b -> TC.compute ~budget:b g)
-    (TC.compute g);
-  check_one "bounded_closure"
-    (fun b -> BC.compute ~budget:b ~k:3 g)
-    (BC.compute ~k:3 g)
+  List.iter
+    (fun (gname, g) ->
+      check_one ("transitive_closure " ^ gname)
+        (fun b -> TC.compute ~budget:b g)
+        (TC.compute g) g;
+      check_one ("bounded_closure " ^ gname)
+        (fun b -> BC.compute ~budget:b ~k:3 g)
+        (BC.compute ~k:3 g) g)
+    [ ("er", er); ("planted", planted) ]
 
 (* decision procedures must stay sound: a budgeted answer, when given, must
    agree with the unbudgeted one *)

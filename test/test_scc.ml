@@ -28,20 +28,39 @@ let test_members_sizes () =
     (Array.fold_left ( + ) 0 (Scc.sizes scc))
 
 let test_trivial () =
-  let g = graph [ "a"; "b" ] [ (0, 0); (0, 1) ] in
+  (* a self-loop, a plain node, and a 2-cycle *)
+  let g = graph [ "a"; "b"; "c"; "d" ] [ (0, 0); (0, 1); (2, 3); (3, 2) ] in
   let scc = Scc.compute g in
-  Alcotest.(check bool) "self loop not trivial" false
-    (Scc.is_trivial g scc scc.Scc.comp.(0));
-  Alcotest.(check bool) "plain node trivial" true
-    (Scc.is_trivial g scc scc.Scc.comp.(1))
+  let cyclic = Scc.cyclic g scc in
+  Alcotest.(check bool) "self loop cyclic" true cyclic.(scc.Scc.comp.(0));
+  Alcotest.(check bool) "plain node acyclic" false cyclic.(scc.Scc.comp.(1));
+  Alcotest.(check bool) "2-cycle cyclic" true cyclic.(scc.Scc.comp.(2))
+
+(* [Scc.successors] as one array per component *)
+let successors g scc =
+  let start, succ = Scc.successors g scc in
+  Array.init scc.Scc.count (fun c ->
+      Array.sub succ start.(c) (start.(c + 1) - start.(c)))
 
 let test_condensation_edges () =
   let g = two_cycles () in
   let scc = Scc.compute g in
-  let edges = Scc.condensation_edges g scc in
-  Alcotest.(check int) "one cross edge" 1 (List.length edges);
-  let c01 = scc.Scc.comp.(0) and c23 = scc.Scc.comp.(2) in
-  Alcotest.(check (list (pair int int))) "direction" [ (c01, c23) ] edges
+  let succ = successors g scc in
+  let c01 = scc.Scc.comp.(0) and c23 = scc.Scc.comp.(2) and c4 = scc.Scc.comp.(4) in
+  Alcotest.(check (array int)) "one cross edge, direction" [| c23 |] succ.(c01);
+  Alcotest.(check (array int)) "sink" [||] succ.(c23);
+  Alcotest.(check (array int)) "isolated" [||] succ.(c4);
+  (* 0↔1 reaches {2,3} twice and 4 once; member 0's edges are met first,
+     and each successor component is listed once *)
+  let g =
+    graph [ "a"; "b"; "c"; "d"; "e" ]
+      [ (0, 1); (0, 4); (1, 0); (1, 2); (1, 3); (2, 3); (3, 2) ]
+  in
+  let scc = Scc.compute g in
+  let succ = successors g scc in
+  Alcotest.(check (array int)) "first-seen order, deduplicated"
+    [| scc.Scc.comp.(4); scc.Scc.comp.(2) |]
+    succ.(scc.Scc.comp.(0))
 
 let test_deep_path_no_stack_overflow () =
   let n = 200_000 in
@@ -79,6 +98,27 @@ let prop_edge_numbering =
           && (scc.Scc.comp.(u) = scc.Scc.comp.(v) || scc.Scc.comp.(u) > scc.Scc.comp.(v)))
         g true)
 
+let prop_successors =
+  qtest ~count:60 "scc: successors are the distinct cross edges" (digraph_gen ())
+    print_digraph (fun g ->
+      let scc = Scc.compute g in
+      let listed =
+        List.concat
+          (Array.to_list
+             (Array.mapi
+                (fun c ds -> List.map (fun d -> (c, d)) (Array.to_list ds))
+                (successors g scc)))
+      in
+      let cross =
+        D.fold_edges
+          (fun u v acc ->
+            let c = scc.Scc.comp.(u) and d = scc.Scc.comp.(v) in
+            if c <> d then (c, d) :: acc else acc)
+          g []
+      in
+      List.length listed = List.length (List.sort_uniq compare listed)
+      && List.sort compare listed = List.sort_uniq compare cross)
+
 let suite =
   [
     ( "scc",
@@ -91,5 +131,6 @@ let suite =
           test_deep_path_no_stack_overflow;
         prop_mutual_reachability;
         prop_edge_numbering;
+        prop_successors;
       ] );
   ]

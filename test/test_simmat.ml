@@ -26,6 +26,45 @@ let test_label_equality () =
   Alcotest.(check (float 1e-9)) "a=a" 1.0 (Simmat.get m 0 1);
   Alcotest.(check (float 1e-9)) "a≠b" 0.0 (Simmat.get m 0 0)
 
+let same_matrix a b =
+  Simmat.n1 a = Simmat.n1 b
+  && Simmat.n2 a = Simmat.n2 b
+  &&
+  let ok = ref true in
+  for v = 0 to Simmat.n1 a - 1 do
+    for u = 0 to Simmat.n2 a - 1 do
+      if Simmat.get a v u <> Simmat.get b v u then ok := false
+    done
+  done;
+  !ok
+
+let by_string_equality =
+  Simmat.of_label_sim (fun a b -> if String.equal a b then 1. else 0.)
+
+let test_label_equality_edges () =
+  let g = graph [ "a"; "b"; "a" ] [ (0, 1) ] and empty = graph [] [] in
+  List.iter
+    (fun (name, g1, g2) ->
+      let m = Simmat.of_label_equality g1 g2 in
+      Alcotest.(check (pair int int)) (name ^ " dims") (D.n g1, D.n g2)
+        (Simmat.n1 m, Simmat.n2 m);
+      Alcotest.(check bool) name true (same_matrix m (by_string_equality g1 g2)))
+    [
+      ("empty pattern", empty, g);
+      ("empty data graph", g, empty);
+      ("both empty", empty, empty);
+    ]
+
+let prop_label_equality =
+  (* four labels over up to 12 nodes: repeated labels on both sides *)
+  qtest ~count:100 "simmat: of_label_equality = of_label_sim with String.equal"
+    (QCheck.Gen.pair
+       (digraph_gen ~min_n:0 ~max_n:12 ())
+       (digraph_gen ~min_n:0 ~max_n:12 ()))
+    (fun (g1, g2) -> print_digraph g1 ^ "\n" ^ print_digraph g2)
+    (fun (g1, g2) ->
+      same_matrix (Simmat.of_label_equality g1 g2) (by_string_equality g1 g2))
+
 let test_candidates_sorted () =
   let m = Simmat.create ~n1:1 ~n2:4 in
   Simmat.set m 0 0 0.6;
@@ -61,6 +100,9 @@ let suite =
         Alcotest.test_case "validation" `Quick test_validation;
         Alcotest.test_case "of_fun clamps" `Quick test_of_fun_clamps;
         Alcotest.test_case "label equality" `Quick test_label_equality;
+        Alcotest.test_case "label equality on empty graphs" `Quick
+          test_label_equality_edges;
+        prop_label_equality;
         Alcotest.test_case "candidates sorted by similarity" `Quick
           test_candidates_sorted;
         Alcotest.test_case "restrict" `Quick test_restrict;

@@ -31,6 +31,29 @@ let prop_matches_naive =
   qtest ~count:80 "tc: condensation sweep = per-node BFS" (digraph_gen ~max_n:12 ())
     print_digraph (fun g -> BM.equal (TC.compute g) (TC.naive g))
 
+let prop_planted_matches_naive =
+  qtest ~count:150 "tc: planted cycles, self-loops and fans = per-node BFS"
+    (planted_scc_gen ()) print_digraph (fun g -> BM.equal (TC.compute g) (TC.naive g))
+
+(* the tick schedule the daemon's budget_steps and the bench step rows read:
+   one per distinct condensation edge, one per component *)
+let prop_tick_schedule =
+  qtest ~count:100 "tc: steps = distinct condensation edges + components"
+    (QCheck.Gen.oneof [ planted_scc_gen (); digraph_gen ~max_n:12 () ])
+    print_digraph (fun g ->
+      let scc = Phom_graph.Scc.compute g in
+      let cross =
+        D.fold_edges
+          (fun u v acc ->
+            let c = scc.Phom_graph.Scc.comp.(u) and d = scc.Phom_graph.Scc.comp.(v) in
+            if c <> d then (c, d) :: acc else acc)
+          g []
+      in
+      let b = Phom_graph.Budget.create () in
+      ignore (TC.compute ~budget:b g);
+      Phom_graph.Budget.steps_used b
+      = List.length (List.sort_uniq compare cross) + scc.Phom_graph.Scc.count)
+
 let prop_idempotent =
   qtest ~count:50 "tc: closure of closure = closure (modulo new cycles)"
     (dag_gen ~max_n:9 ()) print_digraph (fun g ->
@@ -68,6 +91,8 @@ let suite =
         Alcotest.test_case "self loops" `Quick test_self_loop;
         Alcotest.test_case "closure as a digraph" `Quick test_graph_form;
         prop_matches_naive;
+        prop_planted_matches_naive;
+        prop_tick_schedule;
         prop_idempotent;
         prop_transitive;
         prop_contains_edges;
