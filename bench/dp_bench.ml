@@ -78,7 +78,7 @@ let step_cap = 50_000_000
 let raw_sim ~weights ~mat m =
   List.fold_left (fun acc (v, u) -> acc +. (weights.(v) *. Simmat.get mat v u)) 0. m
 
-let run_dp ?pool name (t : Phom.Instance.t) weights =
+let run_dp name (t : Phom.Instance.t) weights =
   Printf.eprintf "bench dp: %-16s %-4s %3d pattern nodes...\n%!" name "dp"
     (D.n t.Phom.Instance.g1);
   let b = Budget.create ~steps:step_cap () in
@@ -88,7 +88,7 @@ let run_dp ?pool name (t : Phom.Instance.t) weights =
     | Some w -> Phom.Exact.Similarity w
   in
   let r, seconds =
-    Util.timed (fun () -> Phom.Dp.solve ~budget:b ?pool ~objective t)
+    Util.timed (fun () -> Phom.Dp.solve ~budget:b ~objective t)
   in
   let optimum =
     match weights with
@@ -106,7 +106,7 @@ let run_dp ?pool name (t : Phom.Instance.t) weights =
     proven = r.Phom.Exact.status = Budget.Complete;
   }
 
-let run_mwc ?pool name (t : Phom.Instance.t) weights =
+let run_mwc name (t : Phom.Instance.t) weights =
   Printf.eprintf "bench dp: %-16s %-4s %3d pattern nodes...\n%!" name "mwc"
     (D.n t.Phom.Instance.g1);
   let p =
@@ -120,10 +120,10 @@ let run_mwc ?pool name (t : Phom.Instance.t) weights =
     Util.timed (fun () ->
         match weights with
         | None ->
-            let c, status = Wis.exact_max_clique ?pool ~budget:b g in
+            let c, status = Wis.exact_max_clique ~budget:b g in
             (float_of_int (List.length c), status)
         | Some _ ->
-            let _, w, status = Wis.exact_max_weight_clique ?pool ~budget:b g in
+            let _, w, status = Wis.exact_max_weight_clique ~budget:b g in
             (w, status))
   in
   {
@@ -155,13 +155,13 @@ let rows_of r =
     row "seconds" "s" r.seconds;
   ]
 
-let run ~seed ?pool ~out ?check () =
+let run ~seed ~out ?check () =
   Util.heading "Low-treewidth patterns: tree-decomposition DP vs MWC engine";
   let pairs =
     List.map
       (fun (name, (t, weights)) ->
-        let dp = run_dp ?pool name t weights in
-        (dp, run_mwc ?pool name t weights))
+        let dp = run_dp name t weights in
+        (dp, run_mwc name t weights))
       (tracked ~seed)
   in
   let results = List.concat_map (fun (d, m) -> [ d; m ]) pairs in

@@ -124,12 +124,12 @@ let legacy_solve b g =
   let c, status = Wis.exact_max_clique_legacy ~budget:b g in
   (float_of_int (List.length c), status)
 
-let mwc_solve ?pool b g =
-  let c, status = Wis.exact_max_clique ?pool ~budget:b g in
+let mwc_solve b g =
+  let c, status = Wis.exact_max_clique ~budget:b g in
   (float_of_int (List.length c), status)
 
-let mwc_weight_solve ?pool b g =
-  let _, w, status = Wis.exact_max_weight_clique ?pool ~budget:b g in
+let mwc_weight_solve b g =
+  let _, w, status = Wis.exact_max_weight_clique ~budget:b g in
   (w, status)
 
 let rows_of r =
@@ -150,21 +150,21 @@ let rows_of r =
     row "seconds" "s" r.seconds;
   ]
 
-let run ~seed ?pool ~out ?check () =
+let run ~seed ~out ?check () =
   Util.heading "Exact path: legacy colouring B&B vs bitset MWC engine";
   (* cardinality instances: both engines, same optimum required *)
   let pairs =
     List.map
       (fun (name, g) ->
         let legacy = run_engine name "legacy" g legacy_solve in
-        (legacy, run_engine name "mwc" g (mwc_solve ?pool)))
+        (legacy, run_engine name "mwc" g mwc_solve))
       (tracked ~seed)
   in
   (* weighted instances: the new engine only (the legacy engine has no
      weight objective); tracked by the baseline all the same *)
   let weighted =
     List.map
-      (fun (name, g) -> run_engine name "mwc" g (mwc_weight_solve ?pool))
+      (fun (name, g) -> run_engine name "mwc" g mwc_weight_solve)
       (weighted_tracked ~seed)
   in
   let results = List.concat_map (fun (l, m) -> [ l; m ]) pairs @ weighted in

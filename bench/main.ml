@@ -16,7 +16,10 @@ module Dataset = Phom_web.Dataset
 let full_arg =
   Arg.(value & flag & info [ "full" ] ~doc:"Run at the paper's scale (much slower).")
 
-let seed_arg = Arg.(value & opt int 2010 & info [ "seed" ] ~doc:"Random seed.")
+let seed_from default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc:"Random seed.")
+
+let seed_arg = seed_from 2010
 
 let scale_of_full full = if full then Dataset.Full else Dataset.Reduced 10
 
@@ -140,9 +143,9 @@ let ablations_cmd =
     (Cmd.info "ablations" ~doc:"Ablation benches for the design choices.")
     Term.(const (fun seed -> Ablations.run ~seed) $ seed_arg)
 
-(* the gated suites: each takes --seed and --out (exact, dp and parallel
-   also --jobs, exact and dp --check-against); every bound and workload
-   shape is a constant in its module, and Bench_gate holds the rules *)
+(* the gated suites: each takes --seed and --out (parallel also --jobs,
+   exact and dp also --check-against); every bound and workload shape is a
+   constant in its module, and Bench_gate holds the rules *)
 
 let out_arg suite =
   Arg.(
@@ -159,9 +162,15 @@ let check_arg suite =
                  step or wall-time row regresses past Bench_gate's bounds."
                 suite))
 
-let seeded_cmd ~suite ~doc run =
+(* [run] is a term so a suite can read flags of its own. The exact and dp
+   suites pin their own default [seed]: the tracked instances (and the
+   checked-in baselines) are defined by it, unlike the survey benches where
+   the seed only flavours the workload *)
+let seeded_cmd ~suite ?(seed = 2010) ~doc run =
   Cmd.v (Cmd.info suite ~doc)
-    Term.(const (fun seed out -> run ~seed ~out ()) $ seed_arg $ out_arg suite)
+    Term.(
+      const (fun seed out run -> run ~seed ~out ())
+      $ seed_from seed $ out_arg suite $ run)
 
 let parallel_cmd =
   let run seed jobs out =
@@ -182,43 +191,34 @@ let parallel_cmd =
       $ out_arg "parallel")
 
 let recovery_cmd =
-  seeded_cmd ~suite:"recovery" Recovery_bench.run
+  seeded_cmd ~suite:"recovery" (Term.const Recovery_bench.run)
     ~doc:"Durable-daemon restart cost: cold start (load + compute) vs \
           recovered start (snapshot + journal replay) to the first answer; \
           fails unless recovery is strictly cheaper and answers the same."
 
-(* the exact and dp suites pin their own seeds: the tracked instances (and
-   the checked-in baselines) are defined by them, unlike the survey benches
-   where the seed only flavours the workload *)
-let engine_cmd ~suite ~seed ~doc run =
-  Cmd.v (Cmd.info suite ~doc)
-    Term.(
-      const (fun seed jobs out check ->
-          with_pool jobs (fun pool -> run ~seed ?pool ~out ?check ()))
-      $ Arg.(value & opt int seed & info [ "seed" ] ~doc:"Random seed.")
-      $ jobs_arg $ out_arg suite $ check_arg suite)
-
 let exact_cmd =
-  engine_cmd ~suite:"exact" ~seed:2 Exact_bench.run
+  seeded_cmd ~suite:"exact" ~seed:2
+    Term.(const (fun check -> Exact_bench.run ?check) $ check_arg "exact")
     ~doc:"Exact-path engine bench: legacy colouring B&B vs the bitset MWC \
-          engine on seeded product-graph instances, steps-to-optimum and \
+          engine on seeded product-graph instances, one sequential solve \
+          each, steps-to-optimum and wall-clock; fails below the speedup \
+          guard, and optionally gates against a checked-in baseline."
+
+let dp_cmd =
+  seeded_cmd ~suite:"dp" ~seed:7
+    Term.(const (fun check -> Dp_bench.run ?check) $ check_arg "dp")
+    ~doc:"Tree-decomposition DP vs the MWC engine on seeded low-treewidth \
+          instances, one sequential solve each, steps-to-optimum and \
           wall-clock; fails below the speedup guard, and optionally gates \
           against a checked-in baseline."
 
-let dp_cmd =
-  engine_cmd ~suite:"dp" ~seed:7 Dp_bench.run
-    ~doc:"Tree-decomposition DP vs the MWC engine on seeded low-treewidth \
-          instances, steps-to-optimum and wall-clock; fails below the \
-          speedup guard, and optionally gates against a checked-in \
-          baseline."
-
 let obs_cmd =
-  seeded_cmd ~suite:"obs" Obs_bench.run
+  seeded_cmd ~suite:"obs" (Term.const Obs_bench.run)
     ~doc:"Metrics-on vs metrics-off wall-clock on the daemon's warm-serve \
           path; fails above the 2% overhead bound."
 
 let fleet_cmd =
-  seeded_cmd ~suite:"fleet" Fleet_bench.run
+  seeded_cmd ~suite:"fleet" (Term.const Fleet_bench.run)
     ~doc:"Routed latency against 1 vs 3 phomd replicas over loopback TCP, \
           plus the failover blip when a replica is killed -9 mid-workload; \
           fails when any routed request errors, the failover answer changes \

@@ -133,7 +133,9 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Worker domains for the parallel solving runtime (components of \
               the pattern fan out across domains when $(b,--partition) is \
-              set). Default: the hardware's recommended domain count. \
+              set, and the tree-decomposition DP's join subtrees on the \
+              exact and dp routes and in $(b,count)). Default: the \
+              hardware's recommended domain count. \
               $(b,--jobs 1) is fully sequential and bit-identical to a \
               build without parallelism.")
 
@@ -440,6 +442,7 @@ let witnesses_cmd =
   let run pattern data xi sim mat_file hops injective limit timeout steps =
     guard @@ fun () ->
     check_xi xi;
+    if limit < 0 then die "--limit must be non-negative (got %d)" limit;
     let budget = budget_of timeout steps in
     let g1 = load_graph pattern and g2 = load_graph data in
     let mat = matrix_of ?file:mat_file sim g1 g2 in
@@ -548,6 +551,9 @@ let generate_cmd =
   let run kind out n m seed noise from tw keep =
     guard @@ fun () ->
     if n < 0 then die "--nodes must be non-negative (got %d)" n;
+    Option.iter
+      (fun m -> if m < 0 then die "--edges must be non-negative (got %d)" m)
+      m;
     if tw < 1 then die "--tw must be at least 1 (got %d)" tw;
     if not (keep >= 0. && keep <= 1.) then
       die "--keep must be in [0,1] (got %g)" keep;
@@ -781,8 +787,8 @@ let client_cmd =
         scan 0
       then exit 2
     in
-    let request_line () =
-      let line = String.concat " " request in
+    let request_line tokens =
+      let line = String.concat " " tokens in
       if String.trim line = "" then
         die "empty request (try one of: %s)" Phom_server.Protocol.verb_summary;
       line
@@ -793,13 +799,6 @@ let client_cmd =
            the request verb, which cmdliner has parsed into [addr] *)
         let request =
           match addr with Some a -> a :: request | None -> request
-        in
-        let request_line () =
-          let line = String.concat " " request in
-          if String.trim line = "" then
-            die "empty request (try one of: %s)"
-              Phom_server.Protocol.verb_summary;
-          line
         in
         if hold <> None || no_read then
           die "--hold and --no-read drive a single connection; they need \
@@ -831,7 +830,7 @@ let client_cmd =
                       ~key:(Phom_server.Router.solve_key ~g1 ~g2)));
             exit 0
         | None -> ());
-        let line = request_line () in
+        let line = request_line request in
         let config =
           {
             Phom_server.Router.default_config with
@@ -872,7 +871,7 @@ let client_cmd =
                 Unix.sleepf (Float.max 0. secs);
                 Phom_server.Client.close conn)
     | None -> (
-        let line = request_line () in
+        let line = request_line request in
         with_addr @@ fun sockaddr ->
         if no_read then (
           match Phom_server.Client.connect ?timeout:connect_timeout sockaddr with

@@ -20,13 +20,6 @@ let socket_arg =
               replaced. Any other existing file is refused. Unlinked on \
               shutdown.")
 
-let tcp_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "tcp" ] ~docv:"PORT"
-        ~doc:"Also listen on 127.0.0.1:$(docv). Port 0 picks an ephemeral \
-              port, reported in the startup banner.")
-
 let listen_arg =
   Arg.(
     value & opt_all string []
@@ -126,15 +119,6 @@ let fault_delay_arg =
               solve, so fault-injection tests can reliably catch a solve \
               in flight. 0 (the default) disables.")
 
-let fault_health_flap_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "fault-health-flap" ] ~docv:"N"
-        ~doc:"Testing aid: answer the first $(docv) $(b,health) requests \
-              with $(b,error unavailable) before recovering — a flapping \
-              replica, for exercising a router's circuit breaker. 0 (the \
-              default) disables.")
-
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress the startup banner.")
 
@@ -185,13 +169,11 @@ let snapshot_interval_arg =
               $(b,--state-dir)). A snapshot also lands on every graceful \
               drain.")
 
-let run socket tcp listen jobs cache_mb max_graph_mb max_mat_mb default_timeout
+let run socket listen jobs cache_mb max_graph_mb max_mat_mb default_timeout
     default_steps max_conns max_pending idle_timeout retry_after drain_grace
-    fault_delay fault_health_flap quiet metrics_dump state_dir fsync
-    snapshot_interval =
-  if socket = None && tcp = None && listen = [] then begin
-    prerr_endline
-      "error: nothing to listen on (give --socket, --tcp and/or --listen)";
+    fault_delay quiet metrics_dump state_dir fsync snapshot_interval =
+  if socket = None && listen = [] then begin
+    prerr_endline "error: nothing to listen on (give --socket and/or --listen)";
     exit 1
   end;
   if jobs < 1 then begin
@@ -222,11 +204,9 @@ let run socket tcp listen jobs cache_mb max_graph_mb max_mat_mb default_timeout
     | t -> t
   in
   Phom_server.Faults.set_solve_delay fault_delay;
-  Phom_server.Faults.set_health_flap fault_health_flap;
   let config =
     {
       Daemon.socket_path = socket;
-      tcp_port = tcp;
       listen;
       jobs;
       cache_bytes = cache_mb * 1024 * 1024;
@@ -303,11 +283,11 @@ let () =
   in
   let term =
     Term.(
-      const run $ socket_arg $ tcp_arg $ listen_arg $ jobs_arg $ cache_mb_arg
+      const run $ socket_arg $ listen_arg $ jobs_arg $ cache_mb_arg
       $ max_graph_mb_arg $ max_mat_mb_arg $ default_timeout_arg
       $ default_steps_arg $ max_conns_arg $ max_pending_arg
       $ idle_timeout_arg $ retry_after_arg $ drain_grace_arg
-      $ fault_delay_arg $ fault_health_flap_arg $ quiet_arg $ metrics_dump_arg
+      $ fault_delay_arg $ quiet_arg $ metrics_dump_arg
       $ state_dir_arg $ fsync_arg $ snapshot_interval_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -16,11 +16,6 @@ type costs = {
   edge_indel : float;  (** edge insertion/deletion cost, per edge *)
 }
 
-val default_costs :
-  Phom_graph.Digraph.t -> Phom_graph.Digraph.t -> costs
-(** Label equality: substitution is free on equal labels and costs 1
-    otherwise; insert/delete cost 1 each. *)
-
 val costs_of_simmat : Phom_sim.Simmat.t -> costs
 (** Substitution cost [1 − mat(v, u)] — the similarity-aware variant. *)
 
@@ -30,7 +25,9 @@ val approx :
   Phom_graph.Digraph.t ->
   Phom_graph.Digraph.t ->
   float
-(** The assignment-based GED upper bound. 0 for identical graphs. An
+(** The assignment-based GED upper bound. 0 for identical graphs. Default
+    [costs]: label equality — substitution is free on equal labels and
+    costs 1 otherwise; insert/delete cost 1 each. An
     exhausted [budget] falls back to the trivial upper bound (delete one
     graph, insert the other) — still an upper bound, never raises. *)
 

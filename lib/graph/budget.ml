@@ -202,5 +202,3 @@ let string_of_reason = function
 let string_of_status = function
   | Complete -> "complete"
   | Exhausted r -> Printf.sprintf "exhausted (%s)" (string_of_reason r)
-
-let pp_status ppf s = Format.pp_print_string ppf (string_of_status s)

@@ -131,5 +131,3 @@ val string_of_reason : reason -> string
 
 val string_of_status : status -> string
 (** ["complete"] or ["exhausted (<reason>)"]. *)
-
-val pp_status : Format.formatter -> status -> unit

@@ -37,16 +37,6 @@ let make ~labels ~edges =
   let m = Array.fold_left (fun acc a -> acc + Array.length a) 0 succs in
   { node_labels = Array.copy labels; succs; preds; m }
 
-let of_adjacency labels succ_lists =
-  let n = Array.length labels in
-  if Array.length succ_lists <> n then
-    invalid_arg "Digraph.of_adjacency: length mismatch";
-  let edges = ref [] in
-  Array.iteri
-    (fun u vs -> List.iter (fun v -> edges := (u, v) :: !edges) vs)
-    succ_lists;
-  make ~labels ~edges:!edges
-
 let empty = { node_labels = [||]; succs = [||]; preds = [||]; m = 0 }
 
 let n g = Array.length g.node_labels

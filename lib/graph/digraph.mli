@@ -17,10 +17,6 @@ val make : labels:string array -> edges:(int * int) list -> t
     Duplicate edges are collapsed; self-loops are allowed. Raises
     [Invalid_argument] if an endpoint is out of range. *)
 
-val of_adjacency : string array -> int list array -> t
-(** [of_adjacency labels succ] builds a graph from successor lists. Raises
-    [Invalid_argument] on length mismatch or out-of-range successor. *)
-
 val empty : t
 (** The graph with no nodes. *)
 

@@ -66,12 +66,10 @@ val register_probe : ?labels:(string * string) list -> string -> (unit -> float)
 
 type histogram
 
-val default_buckets : float array
-(** Latency buckets in seconds: 10µs .. 10s, roughly log-spaced. *)
-
 val histogram :
   ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
-(** Get or create. [buckets] are strictly increasing upper bounds; an
+(** Get or create. [buckets] are strictly increasing upper bounds (default:
+    latency buckets in seconds, 10µs .. 10s, roughly log-spaced); an
     implicit [+Inf] bucket is appended. [buckets] is only consulted on
     creation — later callers inherit the creator's bounds. *)
 

@@ -3,11 +3,13 @@
     only — no external dependencies.
 
     The solving seams of this repository decompose into independent units
-    (weakly-connected components of [G1], weight classes of the WIS
-    reduction, per-site match jobs); a pool runs those units across domains
-    while keeping results deterministic: {!map} returns results in input
-    order, and a pool of size 1 executes the exact sequential code path, so
-    [--jobs 1] is bit-identical to a build without this library.
+    (the weakly-connected components of [G1] under partitioning, the two
+    subtrees of a tree-decomposition join, the daemon's request jobs, the
+    bench harness's sweep points and per-version match jobs); a pool runs
+    those units across domains while keeping results deterministic: {!map}
+    returns results in input order, and a pool of size 1 executes the exact
+    sequential code path, so [--jobs 1] is bit-identical to a build without
+    this library.
 
     Submitting work is only allowed from the domain that created the pool
     or from inside a pool task (nested {!map}/{!both} are safe: the caller

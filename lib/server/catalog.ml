@@ -764,8 +764,6 @@ let recall_solution t ~key =
 
 let cache_stats t = Lru.stats t.cache
 
-let clear_cache t = Lru.clear t.cache
-
 (* ---- durability: snapshot export / restore, journal replay ---- *)
 
 let export t =

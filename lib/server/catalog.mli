@@ -272,7 +272,6 @@ val count_pinned :
     its anytime [count = 0] result and is never inserted. *)
 
 val cache_stats : t -> Lru.stats
-val clear_cache : t -> unit
 
 (** {1 The warm-start solution store}
 

@@ -50,10 +50,6 @@ type backoff = {
   max_delay : float;  (** cap on the exponential *)
 }
 
-val default_backoff : backoff
-(** [{ retries = 0; delay = 0.2; max_delay = 2.0 }] — one shot, so plain
-    callers see the historical behavior. *)
-
 val request :
   ?connect_timeout:float ->
   ?read_timeout:float ->
@@ -66,5 +62,7 @@ val request :
     failures and on [error busy retry-after=<s>] replies. Each pause is
     [min max_delay (delay * 2^attempt)] scaled by a jitter factor in
     [0.5, 1.0] (drawn from [rng], self-seeded by default), and never less
-    than the daemon's [retry-after] hint when one was given. Other [error]
-    replies are returned as-is: they are answers, not failures. *)
+    than the daemon's [retry-after] hint when one was given. The default
+    [backoff], [{ retries = 0; delay = 0.2; max_delay = 2.0 }], is one shot.
+    Other [error] replies are returned as-is: they are answers, not
+    failures. *)

@@ -7,7 +7,6 @@ module Obs = Phom_obs.Obs
 
 type config = {
   socket_path : string option;
-  tcp_port : int option;
   listen : string list;
       (** extra TCP listeners as [HOST:PORT] specs (port [0] = ephemeral);
           all listeners share one event loop and one catalog *)
@@ -32,7 +31,6 @@ type config = {
 let default_config =
   {
     socket_path = None;
-    tcp_port = None;
     listen = [];
     jobs = 1;
     cache_bytes = 256 * 1024 * 1024;
@@ -692,8 +690,8 @@ type cstate = {
 
 let serve ?(ready = fun _ -> ()) config =
   if config.jobs < 1 then invalid_arg "Daemon.serve: jobs must be >= 1";
-  if config.socket_path = None && config.tcp_port = None && config.listen = []
-  then invalid_arg "Daemon.serve: no listener configured (socket or TCP)";
+  if config.socket_path = None && config.listen = [] then
+    invalid_arg "Daemon.serve: no listener configured (socket or TCP)";
   if config.max_conns < 1 then invalid_arg "Daemon.serve: max_conns must be >= 1";
   if config.max_pending < 1 then
     invalid_arg "Daemon.serve: max_pending must be >= 1";
@@ -714,11 +712,7 @@ let serve ?(ready = fun _ -> ()) config =
         opened := l :: !opened;
         l
       in
-      let loopback =
-        Option.to_list
-          (Option.map (fun p -> (Unix.inet_addr_loopback, p)) config.tcp_port)
-      in
-      List.map tcp (loopback @ extra_addrs)
+      List.map tcp extra_addrs
     with e ->
       (* don't leak the bound unix socket (or earlier TCP binds) when a
          later TCP bind fails *)

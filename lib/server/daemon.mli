@@ -27,15 +27,12 @@
 
 type config = {
   socket_path : string option;  (** Unix-domain listening socket *)
-  tcp_port : int option;
-      (** optional TCP listener on 127.0.0.1; [Some 0] picks an ephemeral
-          port (reported through [ready]) *)
   listen : string list;
       (** extra TCP listeners as [HOST:PORT] specs ([""] or ["*"] as host =
           all interfaces; port [0] = ephemeral, reported through [ready]).
-          All listeners — Unix, loopback TCP and these — feed one event
-          loop over one catalog; this is the fleet-facing transport the
-          replica router dials. *)
+          All listeners — Unix and these — feed one event loop over one
+          catalog; this is the fleet-facing transport the replica router
+          dials. *)
   jobs : int;
       (** domains in the pool, the event loop's own included. The loop
           never runs a solve, so [jobs - 1] workers run solves and their

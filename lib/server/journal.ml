@@ -118,17 +118,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go pos =
-    if pos < n then
-      match Faults.fwrite fd b pos (n - pos) with
-      | 0 -> raise (Unix.Unix_error (Unix.EIO, "write", ""))
-      | k -> go (pos + k)
-  in
-  go 0
-
 let open_append ~path ~fsync =
   match
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644
@@ -150,7 +139,7 @@ let open_append ~path ~fsync =
       (* a fresh (or empty) journal needs its header before any event *)
       match Unix.fstat fd with
       | { Unix.st_size = 0; _ } -> (
-          match write_all fd (header ^ "\n") with
+          match Persist.write_all fd (header ^ "\n") with
           | () ->
               if fsync = Always then
                 (try Unix.fsync fd with Unix.Unix_error _ -> ());
@@ -173,7 +162,7 @@ let append t e =
       match t.fd with
       | None -> ()
       | Some fd -> (
-          match write_all fd (line_of_event e) with
+          match Persist.write_all fd (line_of_event e) with
           | () ->
               t.appended <- t.appended + 1;
               t.dirty <- true;
@@ -205,7 +194,7 @@ let rotate t =
              fd survives the rotation *)
           match
             Unix.ftruncate fd 0;
-            write_all fd (header ^ "\n")
+            Persist.write_all fd (header ^ "\n")
           with
           | () ->
               if t.fsync <> Never then
@@ -226,7 +215,6 @@ let close t =
 let appended t = locked t (fun () -> t.appended)
 let errors t = locked t (fun () -> t.errors)
 let path t = t.path
-let fsync_policy t = t.fsync
 
 (* ---- replay ---- *)
 

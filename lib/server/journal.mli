@@ -73,7 +73,6 @@ val errors : t -> int
 (** Appends that failed and were dropped. *)
 
 val path : t -> string
-val fsync_policy : t -> fsync
 
 (** {1 Replay} *)
 

@@ -49,6 +49,12 @@ val read_snapshot : path:string -> (record list * int, string) result
     [Error] means the file is unreadable or is not a snapshot at all —
     the caller should treat that as one quarantined snapshot. *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write all of [s] through {!Faults.fwrite}, resuming after short writes;
+    the snapshot writer and the journal's appends both go through it.
+
+    @raise Unix.Unix_error when a write fails or writes nothing. *)
+
 val write_file_atomic : path:string -> string -> (unit, string) result
 (** The tmp + fsync + rename discipline by itself, for callers that manage
     their own format (e.g. the daemon's final Prometheus metrics dump):

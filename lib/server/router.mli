@@ -90,9 +90,6 @@ val request : t -> string -> (string, string) result
 
 (** {1 Placement} *)
 
-val hash64 : string -> int64
-(** FNV-1a 64-bit — the ring's hash, exposed so tests can pin placements. *)
-
 val solve_key : g1:string -> g2:string -> string
 (** The placement key of a [(g1, g2)] pair: [g1 ^ "\x00" ^ g2] (the
     separator cannot occur in catalog names). *)

@@ -21,24 +21,10 @@
      and even a first-tick budget trip returns a non-trivial clique;
    - one {!Phom_graph.Budget} tick per search node preserves the repo-wide
      anytime contract: a trip unwinds with the best clique found so far and
-     an [Exhausted] status, exactly like the legacy engine.
-
-   Parallelism: the whole vertex set is coloured once and the top-level
-   branches of the single search tree (branch k owns the cliques containing
-   the k-th emitted vertex and none emitted later) are independent, so
-   contiguous branch chunks fan out across the domain pool on forked budget
-   tokens and the chunk results are combined first-strictly-better in the
-   sequential visit order (highest emission positions first). Each chunk
-   starts from the restart incumbent, never from a sibling's — with an
-   untripped budget the combined answer is bit-identical to the sequential
-   one (a chunk's final clique is the first optimum-weight clique in its
-   DFS order, which does not depend on the starting incumbent as long as
-   that incumbent is below the chunk optimum), so [--jobs 1] and [--jobs N]
-   agree. *)
+     an [Exhausted] status, exactly like the legacy engine. *)
 
 module Bitset = Phom_graph.Bitset
 module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 module Obs = Phom_obs.Obs
 
 type result = { clique : int list; weight : float; status : Budget.status }
@@ -134,7 +120,7 @@ type scratch = {
   nxt : Bitset.t;
 }
 
-(* mutable search state: one per sequential run / per parallel chunk *)
+(* mutable search state, one per solve *)
 type state = {
   inst : inst;
   stack : int array;  (** current clique, stack.(0..depth-1) *)
@@ -149,13 +135,13 @@ type state = {
   nxt_member : int array;  (** intrusive member chain, -1-terminated *)
 }
 
-let make_state inst ~seed ~seed_w =
+let make_state inst =
   let n = max 1 inst.n in
   {
     inst;
     stack = Array.make n 0;
-    best = seed;
-    best_w = seed_w;
+    best = [];
+    best_w = 0.;
     t = { branches = 0; cuts = 0; colourings = 0 };
     levels = Array.make n None;
     cls = Array.make n (Bitset.create 0);
@@ -381,37 +367,31 @@ let dive_deg st v cand =
   done;
   if !cw > st.best_w then record st !depth !cw
 
-(* the top level of the single search tree: the whole vertex set is coloured
-   once ([vs]/[bnd], emission length [inst.n]) and the branches at emission
-   positions [lo..hi-1] are expanded highest position first, exactly as
-   [expand] would — branch k owns the cliques containing vs.(k) and none of
-   vs.(k+1..). Both the sequential run (lo=0, hi=n) and each pool chunk
-   execute this same loop with a private incumbent seeded at [seed], so the
-   two compositions traverse tick-identical trees. *)
-let solve_branches inst budget ~seed_w ~seed ~vs ~bnd lo hi =
-  let st = make_state inst ~seed ~seed_w in
-  let cur = Bitset.full inst.n in
-  for j = hi to inst.n - 1 do
-    Bitset.remove cur vs.(j)
-  done;
-  let nxt = Bitset.create inst.n in
-  (try
-     (try
-        for k = hi - 1 downto lo do
-          let v = vs.(k) in
-          if bnd.(k) <= st.best_w then begin
-            st.t.cuts <- st.t.cuts + 1;
-            raise Cut
-          end;
-          Bitset.remove cur v;
-          Bitset.copy_into ~into:nxt cur;
-          Bitset.inter_into ~into:nxt inst.adj.(v);
-          st.stack.(0) <- v;
-          expand st budget 1 inst.w.(v) nxt
-        done
-      with Cut -> ())
-   with Budget.Exhausted_budget -> ());
-  st
+(* the top level of the search tree: the whole vertex set is coloured once
+   and each emission position's branch is expanded highest position first,
+   exactly as [expand] would — branch k owns the cliques containing vs.(k)
+   and none of vs.(k+1..) — but without [expand]'s root tick; the incumbent
+   is whatever the restarts left in [st] *)
+let search_root st budget =
+  let inst = st.inst in
+  let n = inst.n in
+  let vs = Array.make n 0 and bnd = Array.make n 0. in
+  let len = colour st (Bitset.full n) vs bnd in
+  let cur = Bitset.full n and nxt = Bitset.create n in
+  try
+    for k = len - 1 downto 0 do
+      let v = vs.(k) in
+      if bnd.(k) <= st.best_w then begin
+        st.t.cuts <- st.t.cuts + 1;
+        raise Cut
+      end;
+      Bitset.remove cur v;
+      Bitset.copy_into ~into:nxt cur;
+      Bitset.inter_into ~into:nxt inst.adj.(v);
+      st.stack.(0) <- v;
+      expand st budget 1 inst.w.(v) nxt
+    done
+  with Cut | Budget.Exhausted_budget -> ()
 
 let flush_tally t =
   Obs.add (Lazy.force m_branches) t.branches;
@@ -419,10 +399,7 @@ let flush_tally t =
   Obs.add (Lazy.force m_colourings) t.colourings;
   Obs.observe (Lazy.force m_branches_per_solve) (float_of_int t.branches)
 
-(* below this many vertices a pool fan-out costs more than it saves *)
-let par_cutoff = 64
-
-let solve_weights ?pool ?budget g weights =
+let solve_weights ?budget g weights =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~steps:10_000_000 ()
   in
@@ -430,69 +407,31 @@ let solve_weights ?pool ?budget g weights =
   if n = 0 then { clique = []; weight = 0.; status = Budget.status budget }
   else begin
     let inst = build_inst g weights in
-    let probe_st = make_state inst ~seed:[] ~seed_w:0. in
-    restart_probes probe_st budget (max 1 (min 8 (n / 32)));
+    let st = make_state inst in
+    restart_probes st budget (max 1 (min 8 (n / 32)));
     (* tick-free dive pass: one greedy maximal clique per degeneracy root,
        strongest incumbent the polynomial tier can provide *)
     for k = n - 1 downto 0 do
       let v = inst.order.(k) in
-      dive probe_st v (Bitset.inter inst.adj.(v) inst.later.(k))
+      dive st v (Bitset.inter inst.adj.(v) inst.later.(k))
     done;
     (* a few degree-guided dives from the densest-core starts *)
     for i = 0 to min 31 (n - 1) do
       let v = inst.order.(n - 1 - i) in
-      dive_deg probe_st v inst.adj.(v)
+      dive_deg st v inst.adj.(v)
     done;
-    let seed = probe_st.best and seed_w = probe_st.best_w in
-    (* one colouring of the whole vertex set defines the top-level branches
-       shared by the sequential loop and every pool chunk *)
-    let vs = Array.make n 0 and bnd = Array.make n 0. in
-    let len = colour probe_st (Bitset.full n) vs bnd in
-    assert (len = n);
-    let best, best_w =
-      match pool with
-      | Some p when Pool.size p > 1 && n >= par_cutoff ->
-          (* contiguous branch chunks across the pool, one forked token
-             each; processed and folded highest positions first — the order
-             the sequential loop visits them — so completion results are
-             bit-identical to [--jobs 1] *)
-          let chunks = min n (4 * Pool.size p) in
-          let bounds =
-            List.init chunks (fun c ->
-                let c = chunks - 1 - c in
-                (c * n / chunks, (c + 1) * n / chunks))
-          in
-          let tagged =
-            List.map (fun (lo, hi) -> (Budget.fork budget, lo, hi)) bounds
-          in
-          let sts =
-            Pool.map_list p
-              (fun (b, lo, hi) ->
-                solve_branches inst b ~seed_w ~seed ~vs ~bnd lo hi)
-              tagged
-          in
-          List.iter (fun (b, _, _) -> Budget.join budget b) tagged;
-          List.fold_left
-            (fun (best, best_w) st ->
-              flush_tally st.t;
-              if st.best_w > best_w then (st.best, st.best_w)
-              else (best, best_w))
-            (seed, seed_w) sts
-      | _ ->
-          let st = solve_branches inst budget ~seed_w ~seed ~vs ~bnd 0 n in
-          flush_tally st.t;
-          (st.best, st.best_w)
-    in
+    search_root st budget;
+    flush_tally st.t;
     {
-      clique = List.sort compare best;
-      weight = best_w;
+      clique = List.sort compare st.best;
+      weight = st.best_w;
       status = Budget.status budget;
     }
   end
 
-let solve ?pool ?budget g =
+let solve ?budget g =
   let n = Ungraph.n g in
-  solve_weights ?pool ?budget g (Array.init n (Ungraph.weight g))
+  solve_weights ?budget g (Array.init n (Ungraph.weight g))
 
-let solve_cardinality ?pool ?budget g =
-  solve_weights ?pool ?budget g (Array.make (Ungraph.n g) 1.)
+let solve_cardinality ?budget g =
+  solve_weights ?budget g (Array.make (Ungraph.n g) 1.)

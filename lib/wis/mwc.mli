@@ -11,11 +11,7 @@
 
     Requires non-negative node weights. One {!Phom_graph.Budget} tick per
     search node (and per restart probe); a trip returns the best clique
-    found so far with an [Exhausted] status. With [pool], contiguous
-    chunks of the single search tree's top-level branches (one colouring
-    of the whole vertex set) fan out across domains on forked budget
-    tokens; under an untripped budget the result is bit-identical to the
-    sequential run. *)
+    found so far with an [Exhausted] status. *)
 
 type result = {
   clique : int list;  (** sorted ascending *)
@@ -24,7 +20,6 @@ type result = {
 }
 
 val solve :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   result
@@ -32,7 +27,6 @@ val solve :
     a fresh 10⁷-step token (the historical exact-path safety net). *)
 
 val solve_cardinality :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   result

@@ -45,8 +45,3 @@ let build ?(injective = false) ?weights ~g1 ~tc2 ~mat ~xi () =
 
 let mapping_of_clique t clique =
   List.sort compare (List.map (fun i -> t.pairs.(i)) clique)
-
-let is_compatible t ~g1 ~tc2 i j =
-  (* the oracle ignores the injectivity flag baked into the graph: callers
-     compare against both variants explicitly *)
-  edge_ok ~injective:false ~g1 ~tc2 t.pairs.(i) t.pairs.(j)

@@ -35,7 +35,3 @@ val build :
 val mapping_of_clique : t -> int list -> (int * int) list
 (** Translate product nodes back to a mapping, sorted by [G1] node
     (function [g] of the reduction). *)
-
-val is_compatible : t -> g1:Phom_graph.Digraph.t -> tc2:Phom_graph.Bitmatrix.t -> int -> int -> bool
-(** Recheck the adjacency definition for two product nodes — used by tests
-    as an oracle. *)

@@ -1,6 +1,5 @@
 module Bitset = Phom_graph.Bitset
 module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 
 let pick_pivot g subset =
   (* max degree within [subset] *)
@@ -28,11 +27,6 @@ let split g subset =
   Bitset.remove outside v;
   (v, inside, outside)
 
-let combine v (c1, i1) (c2, i2) =
-  let clique = if List.length c1 + 1 >= List.length c2 then v :: c1 else c2 in
-  let indep = if List.length i2 + 1 >= List.length i1 then v :: i2 else i1 in
-  (clique, indep)
-
 let rec ramsey_budgeted budget g subset =
   (* an exhausted budget makes unexplored subtrees contribute the empty
      clique/IS pair; the combination step below still yields a valid clique
@@ -41,59 +35,22 @@ let rec ramsey_budgeted budget g subset =
   if Bitset.is_empty subset || not (Budget.tick budget) then ([], [])
   else begin
     let v, inside, outside = split g subset in
-    let r1 = ramsey_budgeted budget g inside in
-    let r2 = ramsey_budgeted budget g outside in
-    combine v r1 r2
+    let c1, i1 = ramsey_budgeted budget g inside in
+    let c2, i2 = ramsey_budgeted budget g outside in
+    let clique = if List.length c1 + 1 >= List.length c2 then v :: c1 else c2 in
+    let indep = if List.length i2 + 1 >= List.length i1 then v :: i2 else i1 in
+    (clique, indep)
   end
-
-(* don't bother shipping a subtree to another domain below this size *)
-let par_cutoff = 64
-
-(* Parallel variant: the two recursive branches are independent, so the top
-   [depth] levels of the recursion fan out across the pool ([Pool.both]),
-   each branch on its own forked budget token. With an untripped budget the
-   result is identical to the sequential recursion (the combination is a
-   pure function of the two branch results); under a budget trip the
-   partition of the remaining allowance differs from the sequential
-   depth-first sharing, but validity and anytime semantics are preserved. *)
-let rec ramsey_parallel pool depth budget g subset =
-  if depth <= 0 || Bitset.count subset < par_cutoff then
-    ramsey_budgeted budget g subset
-  else if Bitset.is_empty subset || not (Budget.tick budget) then ([], [])
-  else begin
-    let v, inside, outside = split g subset in
-    let b1 = Budget.fork budget and b2 = Budget.fork budget in
-    let r1, r2 =
-      Pool.both pool
-        (fun () -> ramsey_parallel pool (depth - 1) b1 g inside)
-        (fun () -> ramsey_parallel pool (depth - 1) b2 g outside)
-    in
-    Budget.join budget b1;
-    Budget.join budget b2;
-    combine v r1 r2
-  end
-
-(* enough levels to occupy every domain, plus one for load balancing *)
-let depth_for pool =
-  let size = Pool.size pool in
-  let rec levels n acc = if n <= 1 then acc else levels (n / 2) (acc + 1) in
-  levels size 0 + 1
-
-let run ?pool budget g subset =
-  match pool with
-  | Some p when Pool.size p > 1 ->
-      ramsey_parallel p (depth_for p) budget g subset
-  | _ -> ramsey_budgeted budget g subset
 
 let m_calls = lazy (Phom_obs.Obs.counter "phom_solver_ramsey_calls_total")
 let m_rounds = lazy (Phom_obs.Obs.counter "phom_solver_removal_rounds_total")
 
-let ramsey ?pool ?budget g subset =
+let ramsey ?budget g subset =
   Phom_obs.Obs.incr (Lazy.force m_calls);
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  run ?pool budget g subset
+  ramsey_budgeted budget g subset
 
-let removal ~keep ?pool ?budget g =
+let removal ~keep ?budget g =
   (* Repeatedly run ramsey, drop one of the two sets from the graph, and keep
      the best instance of the other. [keep] selects which set is collected:
      `Clique removes independent sets (ISRemoval), `Indep removes cliques
@@ -108,7 +65,7 @@ let removal ~keep ?pool ?budget g =
     else begin
       Phom_obs.Obs.incr (Lazy.force m_rounds);
       Phom_obs.Obs.incr (Lazy.force m_calls);
-      let clique, indep = run ?pool budget g remaining in
+      let clique, indep = ramsey_budgeted budget g remaining in
       let collected, removed =
         match keep with `Clique -> (clique, indep) | `Indep -> (indep, clique)
       in
@@ -122,5 +79,5 @@ let removal ~keep ?pool ?budget g =
   done;
   List.sort compare !best
 
-let clique_removal ?pool ?budget g = removal ~keep:`Indep ?pool ?budget g
-let is_removal ?pool ?budget g = removal ~keep:`Clique ?pool ?budget g
+let clique_removal ?budget g = removal ~keep:`Indep ?budget g
+let is_removal ?budget g = removal ~keep:`Clique ?budget g

@@ -9,7 +9,6 @@
     matching algorithms. *)
 
 val ramsey :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   Phom_graph.Bitset.t ->
@@ -18,27 +17,17 @@ val ramsey :
     chosen with maximum degree inside the current subset (any choice
     preserves the guarantee; this one helps in practice). One [budget] tick
     per recursion node; truncated subtrees contribute empty sets, so the
-    answer stays a valid clique/IS pair, only possibly smaller.
-
-    The two branches of each recursion node are independent; with a [pool]
-    the top levels fan out across its domains, each branch drawing on a
-    forked child of [budget] ({!Phom_graph.Budget.fork}). With an untripped
-    budget the parallel result equals the sequential one (the combination
-    step is a pure function of the branch results); no pool, or a size-1
-    pool, runs the sequential recursion unchanged. *)
+    answer stays a valid clique/IS pair, only possibly smaller. *)
 
 val clique_removal :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list
 (** Approximate {b maximum independent set}: repeatedly run {!ramsey} and
     remove the clique found; return the largest independent set seen —
-    the best so far when [budget] trips. [pool] parallelizes each inner
-    {!ramsey} call. *)
+    the best so far when [budget] trips. *)
 
 val is_removal :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list

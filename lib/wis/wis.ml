@@ -1,9 +1,8 @@
 module Bitset = Phom_graph.Bitset
 module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 
-let max_independent_set ?pool ?budget g = Ramsey.clique_removal ?pool ?budget g
-let max_clique ?pool ?budget g = Ramsey.is_removal ?pool ?budget g
+let max_independent_set ?budget g = Ramsey.clique_removal ?budget g
+let max_clique ?budget g = Ramsey.is_removal ?budget g
 
 let weight_classes g =
   let n = Ungraph.n g in
@@ -37,37 +36,18 @@ let heaviest_node g =
   done;
   if !best < 0 then [] else [ !best ]
 
-let weighted ?pool ?budget solve g =
-  (* the weight classes are independent candidate subproblems: with a pool
-     each class is solved on its own domain and forked budget token;
-     sequentially they share one token — once it trips, the remaining
-     classes contribute nothing. Either way the heaviest-node fallback
-     (always computed, cheap) guarantees a non-trivial valid answer *)
-  let classes = weight_classes g in
-  let solve_class b bucket =
-    match b with
-    | Some bb when Budget.exhausted bb -> []
+let weighted ?budget solve g =
+  (* the weight classes share one token: once it trips, the remaining
+     classes contribute nothing, and the heaviest-node fallback (always
+     computed, cheap) guarantees a non-trivial valid answer *)
+  let solve_class bucket =
+    match budget with
+    | Some b when Budget.exhausted b -> []
     | _ ->
         let sub, old_of_new = Ungraph.induced g bucket in
-        List.map (fun v -> old_of_new.(v)) (solve ?budget:b sub)
+        List.map (fun v -> old_of_new.(v)) (solve ?budget sub)
   in
-  let candidates =
-    match pool with
-    | Some p when Pool.size p > 1 && List.length classes > 1 ->
-        let tagged =
-          List.map (fun c -> (Option.map Budget.fork budget, c)) classes
-        in
-        let out = Pool.map_list p (fun (b, c) -> solve_class b c) tagged in
-        List.iter
-          (fun (b, _) ->
-            match (budget, b) with
-            | Some parent, Some child -> Budget.join parent child
-            | _ -> ())
-          tagged;
-        out
-    | _ -> List.map (solve_class budget) classes
-  in
-  let candidates = heaviest_node g :: candidates in
+  let candidates = heaviest_node g :: List.map solve_class (weight_classes g) in
   let best =
     List.fold_left
       (fun acc sol ->
@@ -76,10 +56,8 @@ let weighted ?pool ?budget solve g =
   in
   List.sort compare best
 
-let max_weight_independent_set ?pool ?budget g =
-  weighted ?pool ?budget
-    (fun ?budget sub -> Ramsey.clique_removal ?pool ?budget sub)
-    g
+let max_weight_independent_set ?budget g =
+  weighted ?budget Ramsey.clique_removal g
 
 (* below this size the exact MWC engine is cheap enough to refine the
    Halldórsson approximation; above it the product graphs are the domain of
@@ -87,12 +65,8 @@ let max_weight_independent_set ?pool ?budget g =
 let mwc_refine_max_n = 350
 let mwc_refine_default_steps = 200_000
 
-let max_weight_clique ?pool ?budget g =
-  let approx =
-    weighted ?pool ?budget
-      (fun ?budget sub -> Ramsey.is_removal ?pool ?budget sub)
-      g
-  in
+let max_weight_clique ?budget g =
+  let approx = weighted ?budget Ramsey.is_removal g in
   if Ungraph.n g > mwc_refine_max_n || (match budget with Some b -> Budget.exhausted b | None -> false)
   then approx
   else begin
@@ -101,27 +75,26 @@ let max_weight_clique ?pool ?budget g =
       | Some b -> b
       | None -> Budget.create ~steps:mwc_refine_default_steps ()
     in
-    let r = Mwc.solve ?pool ~budget:b g in
+    let r = Mwc.solve ~budget:b g in
     if r.Mwc.weight > Ungraph.total_weight g approx then r.Mwc.clique
     else approx
   end
 
-(* Exact maximum clique — the bitset-parallel MWC engine on unit weights
-   (cardinality objective), anytime under [budget], root branches split
-   across [pool]. *)
-let exact_max_clique ?pool ?budget g =
+(* Exact maximum clique — the bitset MWC engine on unit weights
+   (cardinality objective), anytime under [budget]. *)
+let exact_max_clique ?budget g =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~steps:10_000_000 ()
   in
-  let r = Mwc.solve_cardinality ?pool ~budget g in
+  let r = Mwc.solve_cardinality ~budget g in
   (r.Mwc.clique, r.Mwc.status)
 
 (* Exact maximum-weight clique on the graph's own node weights. *)
-let exact_max_weight_clique ?pool ?budget g =
+let exact_max_weight_clique ?budget g =
   let budget =
     match budget with Some b -> b | None -> Budget.create ~steps:10_000_000 ()
   in
-  let r = Mwc.solve ?pool ~budget g in
+  let r = Mwc.solve ~budget g in
   (r.Mwc.clique, r.Mwc.weight, r.Mwc.status)
 
 (* The pre-MWC engine: Tomita-style branch and bound with an unweighted

@@ -7,28 +7,19 @@
     borrows exactly this trick at the matching-list level. *)
 
 val max_independent_set :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list
 (** Cardinality objective; sorted ascending. All four approximations are
     anytime: an exhausted [budget] yields the best valid set found so far
-    (check the token's {!Phom_graph.Budget.status} to distinguish).
-
-    All four take an optional [pool]: the independent subproblems (the
-    branches of the Ramsey recursion; for the weighted variants also the
-    geometric weight classes) are then evaluated across its domains, with
-    [budget] forked into domain-safe children. Without a pool, or with a
-    size-1 pool, the historical sequential code path runs unchanged. *)
+    (check the token's {!Phom_graph.Budget.status} to distinguish). *)
 
 val max_clique :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list
 
 val max_weight_independent_set :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list
@@ -36,7 +27,6 @@ val max_weight_independent_set :
     even under an exhausted budget. *)
 
 val max_weight_clique :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list
@@ -47,7 +37,6 @@ val max_weight_clique :
     whichever clique is heavier. Never worse than the approximation. *)
 
 val exact_max_clique :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list * Phom_graph.Budget.status
@@ -56,13 +45,9 @@ val exact_max_clique :
     upper bounds, one budget tick per search node (default: a fresh
     10⁷-step token). Always returns the best clique found; [Exhausted _]
     marks it possibly suboptimal — this is how the cdkMCS baseline "does
-    not run to completion" while still reporting its partial answer.
-    [pool] splits the root branches across domains with forked budgets;
-    with an untripped budget the result is identical to the sequential
-    one. *)
+    not run to completion" while still reporting its partial answer. *)
 
 val exact_max_weight_clique :
-  ?pool:Phom_parallel.Pool.t ->
   ?budget:Phom_graph.Budget.t ->
   Ungraph.t ->
   int list * float * Phom_graph.Budget.status

@@ -4,9 +4,6 @@
 
 open Helpers
 module Pool = Phom_parallel.Pool
-module Budget = Phom_graph.Budget
-module U = Phom_wis.Ungraph
-module Wis = Phom_wis.Wis
 module G = Phom_graph.Generators
 module Api = Phom.Api
 
@@ -101,39 +98,6 @@ let test_shutdown_degenerates () =
 
 (* ---- seam determinism: parallel ≡ sequential ---- *)
 
-let random_ungraph seed n prob =
-  let rng = Random.State.make [| seed |] in
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Random.State.float rng 1.0 < prob then edges := (u, v) :: !edges
-    done
-  done;
-  let weights = Array.init n (fun i -> float_of_int (1 + (i mod 7))) in
-  U.create ~weights n !edges
-
-let test_wis_parallel_equals_sequential () =
-  let p = Lazy.force pool in
-  List.iter
-    (fun seed ->
-      let g = random_ungraph seed 40 0.2 in
-      Alcotest.(check (list int))
-        (Printf.sprintf "max_clique seed %d" seed)
-        (Wis.max_clique g) (Wis.max_clique ~pool:p g);
-      Alcotest.(check (list int))
-        (Printf.sprintf "max_independent_set seed %d" seed)
-        (Wis.max_independent_set g)
-        (Wis.max_independent_set ~pool:p g);
-      Alcotest.(check (list int))
-        (Printf.sprintf "max_weight_independent_set seed %d" seed)
-        (Wis.max_weight_independent_set g)
-        (Wis.max_weight_independent_set ~pool:p g);
-      Alcotest.(check (list int))
-        (Printf.sprintf "max_weight_clique seed %d" seed)
-        (Wis.max_weight_clique g)
-        (Wis.max_weight_clique ~pool:p g))
-    [ 3; 17; 99 ]
-
 (* a disconnected pattern: the partition seam fans its components out *)
 let multi_component_instance seed =
   let rng = Random.State.make [| seed |] in
@@ -220,7 +184,6 @@ let suite =
       ] );
     ( "parallel_seams",
       [
-        Alcotest.test_case "wis: pool ≡ sequential" `Quick test_wis_parallel_equals_sequential;
         Alcotest.test_case "partition: pool ≡ sequential" `Quick
           test_partition_parallel_equals_sequential;
         Alcotest.test_case "matcher: pool ≡ sequential" `Quick
