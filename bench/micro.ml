@@ -23,6 +23,36 @@ let pa3000 =
 
 let pattern20 = fst (G.paper_pattern ~rng:(rng ()) ~m:20)
 
+(* a catalog holding a 3000-node path and its cached full closure. The row
+   deletes the path's last edge and adds it back through [Catalog.edit]:
+   each edit re-signs the graph and carries the closure, and the delete
+   changes every row of it, the worst case for an edit. Lazy, so the other
+   bench commands do not write its temporary file *)
+let path3000_catalog =
+  lazy
+  (let n = 3000 in
+   let g =
+     D.make
+       ~labels:(Array.init n (fun i -> "n" ^ string_of_int i))
+       ~edges:(List.init (n - 1) (fun i -> (i, i + 1)))
+   in
+   let file = Filename.temp_file "micro_path" ".phg" in
+   Phom_graph.Graph_io.save file g;
+   let c = Phom_server.Catalog.create () in
+   let loaded = Phom_server.Catalog.load_graph c ~name:"path" ~path:file in
+   Sys.remove file;
+   (match loaded with Ok _ -> () | Error m -> failwith m);
+   ignore (Phom_server.Catalog.closure c ~name:"path" ~hops:None);
+   c)
+
+let edit_last_edge op =
+  match
+    Phom_server.Catalog.edit (Lazy.force path3000_catalog) ~name:"path" ~op
+      ~v:2998 ~w:2999
+  with
+  | Ok r -> assert (r.Phom_server.Catalog.closures = 1)
+  | Error m -> failwith m
+
 let synth_instance m =
   let rng = rng () in
   let g1, pool = G.paper_pattern ~rng ~m in
@@ -51,6 +81,10 @@ let tests =
         (Staged.stage (fun () -> ignore (TC.compute er300)));
       Test.make ~name:"transitive-closure/pa-3000"
         (Staged.stage (fun () -> ignore (TC.compute pa3000)));
+      Test.make ~name:"catalog-edit/path-3000-del-add"
+        (Staged.stage (fun () ->
+             edit_last_edge `Del;
+             edit_last_edge `Add));
       Test.make ~name:"label-equality/20x3000"
         (Staged.stage (fun () -> ignore (Phom_sim.Simmat.of_label_equality pattern20 pa3000)));
       Test.make ~name:"scc/er-300-1200"
@@ -85,6 +119,7 @@ let tests =
 let run () =
   Util.heading "Micro-benchmarks (bechamel, ns per run)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
+  ignore (Lazy.force path3000_catalog);
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

@@ -129,15 +129,14 @@ let check_budget_flags timeout steps =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Domain.recommended_domain_count ())
+    & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Worker domains for the parallel solving runtime (components of \
               the pattern fan out across domains when $(b,--partition) is \
               set, and the tree-decomposition DP's join subtrees on the \
-              exact and dp routes and in $(b,count)). Default: the \
-              hardware's recommended domain count. \
-              $(b,--jobs 1) is fully sequential and bit-identical to a \
-              build without parallelism.")
+              exact and dp routes and in $(b,count)). The default, \
+              $(b,--jobs 1), starts no pool and is bit-identical to a build \
+              without parallelism.")
 
 (* [--jobs 1] must not even construct a pool: the sequential code path is
    the byte-identical baseline the cram suite pins down *)
@@ -530,7 +529,14 @@ let generate_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Output file.")
   in
   let n_arg = Arg.(value & opt int 100 & info [ "n"; "nodes" ] ~doc:"Number of nodes (m for pattern).") in
-  let m_arg = Arg.(value & opt (some int) None & info [ "m"; "edges" ] ~doc:"Number of edges.") in
+  let m_arg =
+    Arg.(
+      value & opt (some int) None
+      & info [ "m"; "edges" ]
+          ~doc:"Number of edges, for $(b,er) and $(b,dag) graphs (default \
+                twice the node count). The other kinds fix their own edges \
+                and refuse it.")
+  in
   let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
   let noise_arg = Arg.(value & opt float 0.1 & info [ "noise" ] ~doc:"Noise rate for data graphs.") in
   let from_arg =
@@ -554,6 +560,9 @@ let generate_cmd =
     Option.iter
       (fun m -> if m < 0 then die "--edges must be non-negative (got %d)" m)
       m;
+    (match (kind, m) with
+    | (`Er | `Dag), _ | _, None -> ()
+    | _, Some _ -> die "--edges applies only to er and dag graphs");
     if tw < 1 then die "--tw must be at least 1 (got %d)" tw;
     if not (keep >= 0. && keep <= 1.) then
       die "--keep must be in [0,1] (got %g)" keep;

@@ -68,8 +68,6 @@ let count m =
   done;
   !acc
 
-let copy m = { m with data = Array.copy m.data }
-
 let equal a b =
   a.nrows = b.nrows && a.ncols = b.ncols && a.data = b.data
 

@@ -37,7 +37,6 @@ val row_count : t -> int -> int
 val count : t -> int
 (** Number of true cells in the whole matrix. *)
 
-val copy : t -> t
 val equal : t -> t -> bool
 
 val iter_row : (int -> unit) -> t -> int -> unit

@@ -1,53 +1,36 @@
-(* reach_i(u) = nodes reachable in 1..i hops; one matrix sweep per round:
-   reach_{i+1}(u) = reach_i(u) ∪ ⋃_{w ∈ succ(u)} reach_i(w) — but that
-   over-counts (reach_i(w) is 1..i hops from w = 2..i+1 from u, fine, plus
-   direct succ gives hop 1). We instead iterate frontiers per node. *)
-
 let compute ?budget ~k g =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   let n = Digraph.n g in
   let m = Bitmatrix.create ~rows:n ~cols:n in
-  if k <= 0 then m
-  else begin
-    (* frontier BFS per node, capped at depth k; bitset visited. One budget
-       tick per frontier node expanded; exhaustion stops the sweep, leaving
-       an under-approximation (missing reachability bits, never spurious
-       ones). *)
-    (try
-       for u = 0 to n - 1 do
-         Budget.tick_exn budget;
-         let visited = Bitset.create n in
-         let frontier = ref [] in
-         Array.iter
-           (fun w ->
-             if not (Bitset.mem visited w) then begin
-               Bitset.add visited w;
-               Bitmatrix.set m u w true;
-               frontier := w :: !frontier
-             end)
-           (Digraph.succ g u);
-         let depth = ref 1 in
-         while !depth < k && !frontier <> [] do
-           incr depth;
-           let next = ref [] in
-           List.iter
-             (fun x ->
-               Budget.tick_exn budget;
-               Array.iter
-                 (fun w ->
-                   if not (Bitset.mem visited w) then begin
-                     Bitset.add visited w;
-                     Bitmatrix.set m u w true;
-                     next := w :: !next
-                   end)
-                 (Digraph.succ g x))
-             !frontier;
-           frontier := !next
-         done
+  (* per node u, a frontier BFS capped at depth k with a bitset visited; u
+     starts unvisited, so its bit is set only when a cycle returns to it.
+     One budget tick per frontier node expanded (u itself first);
+     exhaustion stops the sweep, leaving an under-approximation (missing
+     reachability bits, never spurious ones). *)
+  (try
+     for u = 0 to n - 1 do
+       let visited = Bitset.create n in
+       let frontier = ref [ u ] and depth = ref 0 in
+       while !depth < k && !frontier <> [] do
+         incr depth;
+         let next = ref [] in
+         List.iter
+           (fun x ->
+             Budget.tick_exn budget;
+             Array.iter
+               (fun w ->
+                 if not (Bitset.mem visited w) then begin
+                   Bitset.add visited w;
+                   Bitmatrix.set m u w true;
+                   next := w :: !next
+                 end)
+               (Digraph.succ g x))
+           !frontier;
+         frontier := !next
        done
-     with Budget.Exhausted_budget -> ());
-    m
-  end
+     done
+   with Budget.Exhausted_budget -> ());
+  m
 
 (* the single entry point artifact caches key on: one function, one key
    shape (graph, hops), covering both the bounded and the unbounded

@@ -341,7 +341,6 @@ let pin_sim t = function
   | Equality | Shingles -> Ok None
 
 let graph t name = Result.map (fun p -> p.pin_graph) (pin t name)
-let mat t name = Result.map fst (pin_mat t name)
 
 (* ---- artifact key tokens (the journal's and snapshot's key form) ---- *)
 
@@ -583,15 +582,6 @@ let candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops =
         put_artifact t ~gen0 ~pins:[ p1; p2 ] key (A_cands c);
       Miss
 
-let candidates ?budget t ~instance ~g1 ~g2 ~sim ~hops =
-  match (pin t g1, pin t g2, pin_sim t sim) with
-  | Ok p1, Ok p2, Ok matv ->
-      candidates_pinned ?budget ?matv t ~instance ~p1 ~p2 ~sim ~hops
-  | _ ->
-      (* a graph vanished mid-call: answer from the instance, cache nothing *)
-      ignore (Phom.Instance.candidates instance);
-      Miss
-
 (* the artifact chain, written once: every solve and count job and every
    replayed cands/count key derives its instance here *)
 let instance_pinned ?budget ?matv t ~p1 ~p2 ~sim ~hops ~xi =
@@ -649,30 +639,28 @@ type edit_result = {
   applied : bool;  (** [false]: the target signature already held (no-op) *)
   edges : int;  (** edge count after the call *)
   crc : string;  (** content signature ([gsig]) after the call *)
-  closures : int;  (** closure artifacts maintained incrementally *)
+  closures : int;  (** closure artifacts carried across the edit *)
 }
 
 let op_name = function `Add -> "add" | `Del -> "del"
 
 (* move every cached closure of [name] from the old signature to the new
-   one, updating the matrix incrementally instead of recomputing it.
-   Runs under the catalog lock, so no unload can interleave; the cache
-   insertions go straight to the Lru (the journal event for the edit
-   subsumes them — replay re-applies the edit and re-maintains). *)
-let maintain_closures t ~name ~before ~after ~op ~v ~w =
+   one, recomputed on the edited graph. Runs under the catalog lock, so no
+   unload can interleave; the cache insertions go straight to the Lru (the
+   journal event for the edit subsumes them — replay re-applies the edit
+   and re-maintains). *)
+let maintain_closures t ~name ~old_sig ~after =
   let moved = ref 0 in
   List.iter
     (fun (k, art) ->
       match (k, art) with
-      | K_closure (n, s, hops), A_closure m
-        when n = name && s = before.gsig ->
-          let m' =
-            Obs.span "closure_incremental" (fun () ->
-                Phom_graph.Incremental.update ~hops ~before:before.g
-                  ~after:after.g ~op ~u:v ~v:w m)
+      | K_closure (n, s, hops), A_closure _ when n = name && s = old_sig ->
+          let m =
+            Obs.span "closure_edit" (fun () ->
+                Phom_graph.Bounded_closure.relation ?hops after.g)
           in
           ignore (Lru.remove_if t.cache (fun k' -> k' = k));
-          Lru.put t.cache (K_closure (n, after.gsig, hops)) (A_closure m');
+          Lru.put t.cache (K_closure (n, after.gsig, hops)) (A_closure m);
           incr moved
       | _ -> ())
     (Lru.bindings t.cache);
@@ -726,7 +714,7 @@ let edit ?expect_crc t ~name ~op ~v ~w =
                        ge'.gsig c)
               | _ ->
                   let closures =
-                    maintain_closures t ~name ~before:ge ~after:ge' ~op ~v ~w
+                    maintain_closures t ~name ~old_sig:ge.gsig ~after:ge'
                   in
                   Hashtbl.replace t.entries name (Graph ge');
                   Ok
@@ -746,12 +734,6 @@ let edit ?expect_crc t ~name ~op ~v ~w =
   | Ok (r, ev) ->
       Option.iter (emit t) ev;
       Ok r
-
-let graph_sig t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.entries name with
-      | Some (Graph ge) -> Some ge.gsig
-      | _ -> None)
 
 (* ---- the warm-start solution store ---- *)
 

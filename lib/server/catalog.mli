@@ -79,7 +79,6 @@ val list :
 (** Loaded graphs and matrices, each sorted by name. *)
 
 val graph : t -> string -> (Phom_graph.Digraph.t, string) result
-val mat : t -> string -> (Phom_sim.Simmat.t, string) result
 
 (** {1 Single-edge edits} *)
 
@@ -89,10 +88,10 @@ type edit_result = {
           edit had been applied before (a replayed or retried line) and
           nothing changed *)
   edges : int;  (** edge count after the call *)
-  crc : string;  (** content signature ([graph_sig]) after the call *)
+  crc : string;  (** content signature ([pin_sig]) after the call *)
   closures : int;
-      (** cached closure artifacts carried across the edit by incremental
-          maintenance instead of being dropped *)
+      (** cached closure artifacts carried across the edit (re-keyed under
+          the new signature) instead of being dropped *)
 }
 
 val edit :
@@ -106,9 +105,9 @@ val edit :
 (** Apply one edge edit to the loaded graph [name], in place (the catalog
     entry is replaced; other snapshots of the old value stay valid). The
     graph's signatures are recomputed, and every cached closure of [name]
-    is {e maintained incrementally} ({!Phom_graph.Incremental.update}) and
-    re-keyed under the new signature — an edit costs work proportional to
-    the affected region, not a full rebuild.
+    is recomputed on the edited graph by
+    {!Phom_graph.Bounded_closure.relation} and re-keyed under the new
+    signature, so a pin of the edited graph hits its closure.
 
     Adding an edge that is already present, deleting one that is absent,
     or naming an endpoint out of range is an [Error] and changes nothing.
@@ -118,11 +117,6 @@ val edit :
     when the post-edit signature would differ from it, the edit is refused
     before committing. Routers and journal replay use this so re-delivered
     edit lines converge instead of double-applying. *)
-
-val graph_sig : t -> string -> string option
-(** The current content signature of a loaded graph ([None] for matrices
-    and unknown names). This is the [crc] that {!edit} reports and
-    verifies. *)
 
 (** {1 Similarity specification} *)
 
@@ -223,18 +217,6 @@ val candidates_pinned :
     installed via {!Phom.Instance.preset_candidates}; on a miss it is
     derived from the instance and cached. The instance must have been built
     from the pins' own graphs and artifacts for the key to be truthful. *)
-
-val candidates :
-  ?budget:Phom_graph.Budget.t ->
-  t ->
-  instance:Phom.Instance.t ->
-  g1:string ->
-  g2:string ->
-  sim:sim ->
-  hops:int option ->
-  provenance
-(** {!candidates_pinned} against pins taken now; if a name vanished
-    mid-call the instance still gets its table but nothing is cached. *)
 
 val instance_pinned :
   ?budget:Phom_graph.Budget.t ->

@@ -534,7 +534,7 @@ let dispatch st req =
             (* [crc=] is the post-edit content signature: a client (or the
                router's replay log) hands it back as [--crc] to make
                re-delivery idempotent; [closures=] counts the cached closure
-               matrices carried across the edit incrementally *)
+               matrices carried across the edit and re-keyed *)
             ok "edited %s op=%s v=%d w=%d edges=%d crc=%s applied=%d closures=%d"
               e.Protocol.name op_token e.Protocol.v e.Protocol.w r.Catalog.edges
               r.Catalog.crc

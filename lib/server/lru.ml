@@ -73,40 +73,22 @@ let evict_lru t =
       t.bytes <- t.bytes - e.weight;
       ignore (Atomic.fetch_and_add t.evictions 1)
 
-(* caller holds the lock *)
-let put_locked t k v =
-  let w = t.weight v in
-  if w < 0 then invalid_arg "Lru: negative weight";
-  (match Hashtbl.find_opt t.table k with
-  | Some old ->
-      Hashtbl.remove t.table k;
-      t.bytes <- t.bytes - old.weight
-  | None -> ());
-  if w <= t.capacity then begin
-    Hashtbl.replace t.table k { value = v; weight = w; last_use = tick t };
-    t.bytes <- t.bytes + w;
-    while t.bytes > t.capacity do
-      evict_lru t
-    done
-  end
-
-let put t k v = locked t (fun () -> put_locked t k v)
-
-let find_or_add t k f =
-  match find t k with
-  | Some v -> (v, true)
-  | None -> (
-      let v = f () in
-      (* re-check under the lock: a racing domain may have filled the slot
-         while we computed; its resident value wins *)
-      locked t (fun () ->
-          match Hashtbl.find_opt t.table k with
-          | Some e ->
-              e.last_use <- tick t;
-              (e.value, false)
-          | None ->
-              put_locked t k v;
-              (v, false)))
+let put t k v =
+  locked t (fun () ->
+      let w = t.weight v in
+      if w < 0 then invalid_arg "Lru: negative weight";
+      (match Hashtbl.find_opt t.table k with
+      | Some old ->
+          Hashtbl.remove t.table k;
+          t.bytes <- t.bytes - old.weight
+      | None -> ());
+      if w <= t.capacity then begin
+        Hashtbl.replace t.table k { value = v; weight = w; last_use = tick t };
+        t.bytes <- t.bytes + w;
+        while t.bytes > t.capacity do
+          evict_lru t
+        done
+      end)
 
 let remove_if t pred =
   locked t (fun () ->
@@ -119,11 +101,6 @@ let remove_if t pred =
           t.bytes <- t.bytes - e.weight)
         doomed;
       List.length doomed)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.bytes <- 0)
 
 let bindings t =
   locked t (fun () ->

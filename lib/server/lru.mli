@@ -36,20 +36,10 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
     capacity is not stored at all (it would only evict everything and still
     not fit). Does not touch the hit/miss counters. *)
 
-val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
-(** [find_or_add t k f] returns [(v, true)] on a hit. On a miss it runs [f]
-    {e outside} the lock (so a slow compute does not block other users),
-    inserts the result, and returns [(v, false)]. If another domain
-    inserted the key while [f] ran, that resident value wins and is
-    returned — the cache never holds two values for one key. *)
-
 val remove_if : ('k, 'v) t -> ('k -> bool) -> int
 (** Invalidation sweep (e.g. on catalog [unload]): drop every entry whose
     key satisfies the predicate; returns how many were dropped. Dropped
     entries do not count as evictions. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry; counters are kept. *)
 
 val stats : ('k, 'v) t -> stats
 

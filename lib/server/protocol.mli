@@ -34,9 +34,11 @@
     on the full closure.
 
     [addedge]/[deledge] (protocol 5) mutate a loaded graph in place — one
-    directed edge per request — while the daemon maintains the derived
-    state (cached closures, artifact keys) incrementally; the reply
-    reports the post-edit edge count and content signature ([crc=]).
+    directed edge per request. The daemon carries the graph's cached
+    closures to the edited graph and re-keys them under the new content
+    signature; other artifacts are keyed by content and simply stop
+    matching. The reply reports the post-edit edge count, the content
+    signature ([crc=]) and the closures carried ([closures=]).
     [--crc] pins the {e post-edit} signature: if the live graph already
     carries it the request is an acknowledged no-op ([applied=0]), and if
     the edit would produce a different signature it is refused — this is

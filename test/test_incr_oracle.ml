@@ -1,10 +1,11 @@
 (* Differential oracle for the dynamic-graph subsystem: seeded random edit
-   scripts (addedge/deledge over ER / DAG / series-parallel graphs) where
-   every incrementally-maintained structure is checked byte-for-byte
-   against a from-scratch rebuild after every single step —
-   [Incremental.update] against [Bounded_closure.relation] for the
-   closures, and the daemon's edit+re-solve path against a cold daemon
-   that loaded the edited graph from disk for the solve/count replies.
+   scripts (addedge/deledge over ER / DAG / series-parallel / planted-SCC
+   graphs and paths) where every structure carried across an edit is
+   checked byte-for-byte against a from-scratch rebuild after every single
+   step — the catalog's cached closures of every hop bound against
+   [Bounded_closure.relation] of the edited graph, and the daemon's
+   edit+re-solve path against a cold daemon that loaded the edited graph
+   from disk for the solve/count replies.
 
    Metamorphic companions: an add-then-del round trip restores the content
    signature, the cached artifacts and the solve replies exactly; edits
@@ -17,7 +18,6 @@
 module D = Phom_graph.Digraph
 module BM = Phom_graph.Bitmatrix
 module BC = Phom_graph.Bounded_closure
-module Incr = Phom_graph.Incremental
 module G = Phom_graph.Generators
 module IO = Phom_graph.Graph_io
 module Catalog = Phom_server.Catalog
@@ -72,41 +72,83 @@ let apply op g u v =
 
 (* ---- the closure oracle ---- *)
 
-let hops_variants = [ None; Some 1; Some 2; Some 3 ]
+let save_tmp g =
+  let path = Filename.temp_file "phom_incr" ".phg" in
+  IO.save path g;
+  path
+
+let rm path = try Sys.remove path with Sys_error _ -> ()
+
+let hops_variants = [ None; Some 1; Some 2; Some 3; Some 5 ]
 
 let hops_name = function None -> "full" | Some k -> string_of_int k
 
+let path n =
+  D.make ~labels:(Array.init n labels)
+    ~edges:(List.init (n - 1) (fun i -> (i, i + 1)))
+
+(* seeds below 240: families 0-2 as [gen_graph]; above, alternately 3:
+   planted cycles, self-loops and fans into cycles, and 4: a path of up to
+   40 nodes whose first edit deletes its last edge, which changes every row
+   of the full closure and the last k rows of a k-hop one. The graph sits
+   in a catalog holding its closure for every hop bound; after each edit
+   all of them must be carried (a lookup hits) and equal a recompute on
+   the edited graph. *)
 let closure_script seed =
   let rng = Random.State.make [| 0xC10; seed |] in
-  let family = seed mod 3 in
+  let family = if seed < 240 then seed mod 3 else 3 + (seed mod 2) in
   let n = 5 + Random.State.int rng 8 in
-  let g = ref (gen_graph rng ~family ~n) in
-  let closures =
-    ref (List.map (fun h -> (h, BC.relation ?hops:h !g)) hops_variants)
+  let g =
+    ref
+      (match family with
+      | 3 -> Helpers.planted_scc_gen ~max_n:30 () rng
+      | 4 -> path (n + Random.State.int rng 29)
+      | _ -> gen_graph rng ~family ~n)
   in
+  let c = Catalog.create () in
+  let file = save_tmp !g in
+  (match Catalog.load_graph c ~name:"g" ~path:file with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  rm file;
+  List.iter
+    (fun h -> ignore (Catalog.closure c ~name:"g" ~hops:h))
+    hops_variants;
   let steps = 1 + Random.State.int rng 6 in
   for step = 1 to steps do
-    match random_edit rng !g with
+    let edit =
+      if family = 4 && step = 1 then
+        let n = D.n !g in
+        Some (`Del, n - 2, n - 1)
+      else random_edit rng !g
+    in
+    match edit with
     | None -> ()
     | Some (op, u, v) ->
-        let before = !g in
-        let after = apply op before u v in
-        closures :=
-          List.map
-            (fun (h, c) ->
-              (h, Incr.update ~hops:h ~before ~after ~op ~u ~v c))
-            !closures;
+        let what =
+          Printf.sprintf "seed %d step %d (%s %d->%d)" seed step
+            (match op with `Add -> "add" | `Del -> "del")
+            u v
+        in
+        let after = apply op !g u v in
         g := after;
+        (match Catalog.edit c ~name:"g" ~op ~v:u ~w:v with
+        | Error m -> Alcotest.failf "%s: %s" what m
+        | Ok r ->
+            if r.Catalog.closures <> List.length hops_variants then
+              Alcotest.failf "%s: carried %d closures" what r.Catalog.closures);
         List.iter
-          (fun (h, c) ->
-            if not (BM.equal c (BC.relation ?hops:h after)) then
-              Alcotest.failf
-                "seed %d step %d: incremental hops=%s closure diverges after \
-                 %s %d->%d"
-                seed step (hops_name h)
-                (match op with `Add -> "add" | `Del -> "del")
-                u v)
-          !closures
+          (fun h ->
+            match Catalog.closure c ~name:"g" ~hops:h with
+            | Error m -> Alcotest.failf "%s: %s" what m
+            | Ok (m, prov) ->
+                if prov <> Catalog.Hit then
+                  Alcotest.failf "%s: hops=%s closure was not carried" what
+                    (hops_name h);
+                if not (BM.equal m (BC.relation ?hops:h after)) then
+                  Alcotest.failf "%s: carried hops=%s closure diverges" what
+                    (hops_name h))
+          hops_variants
   done
 
 let test_closure_scripts lo hi () =
@@ -138,13 +180,6 @@ let strip_cache reply =
   in
   find 0
 
-let save_tmp g =
-  let path = Filename.temp_file "phom_incr" ".phg" in
-  IO.save path g;
-  path
-
-let rm path = try Sys.remove path with Sys_error _ -> ()
-
 let solve_lines seed =
   let sim = if seed mod 2 = 0 then "--sim equality" else "--sim shingles" in
   let hops = if seed mod 3 = 0 then " --hops 2" else "" in
@@ -155,7 +190,7 @@ let solve_lines seed =
   in
   solves @ [ Printf.sprintf "count p d %s --xi 0.5%s" sim hops ]
 
-(* one script: a warm daemon absorbs edits in place (incremental closures,
+(* one script: a warm daemon absorbs edits in place (carried closures,
    signature-keyed cache, warm-started solves) while the oracle rebuilds a
    cold daemon from the edited graph files; after every step all four
    problems and the count must answer byte-identically *)
@@ -256,9 +291,9 @@ let test_undo_restores_signature () =
   | Ok _ -> ()
   | Error m -> Alcotest.fail m);
   let sig0 =
-    match Catalog.graph_sig c "d" with
-    | Some s -> s
-    | None -> Alcotest.fail "loaded graph has a signature"
+    match Catalog.pin c "d" with
+    | Ok p -> p.Catalog.pin_sig
+    | Error m -> Alcotest.fail m
   in
   let r =
     match Catalog.edit c ~name:"d" ~op:`Add ~v:1 ~w:0 with
@@ -433,6 +468,39 @@ let test_edit_race_pinned_solve () =
   Alcotest.(check bool) "post-edit closure is the edited graph's" true
     (BM.equal m2 (BC.relation pin2.Catalog.pin_graph))
 
+(* every cached closure, full and hop-bounded, is carried across an edit:
+   re-keyed under the new signature (a fresh pin hits it) and equal to a
+   recompute on the edited graph *)
+let test_edit_carries_every_closure () =
+  let c = Catalog.create () in
+  (match Catalog.load_graph c ~name:"d" ~path:fig1_store with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let pin () =
+    match Catalog.pin c "d" with Ok p -> p | Error m -> Alcotest.fail m
+  in
+  let hops = [ None; Some 1; Some 2; Some 3 ] in
+  let p0 = pin () in
+  List.iter (fun h -> ignore (Catalog.closure_pinned c ~pin:p0 ~hops:h)) hops;
+  List.iter
+    (fun (op, verb) ->
+      match Catalog.edit c ~name:"d" ~op ~v:0 ~w:5 with
+      | Error m -> Alcotest.fail m
+      | Ok r ->
+          Alcotest.(check int) (verb ^ " carries four closures") 4
+            r.Catalog.closures;
+          let p = pin () in
+          List.iter
+            (fun h ->
+              let m, prov = Catalog.closure_pinned c ~pin:p ~hops:h in
+              let what = Printf.sprintf "%s hops=%s" verb (hops_name h) in
+              Alcotest.(check bool) (what ^ ": a fresh pin hits") true
+                (prov = Catalog.Hit);
+              Alcotest.(check bool) (what ^ ": equals a recompute") true
+                (BM.equal m (BC.relation ?hops:h p.Catalog.pin_graph)))
+            hops)
+    [ (`Add, "addedge"); (`Del, "deledge") ]
+
 let chunk name lo hi f =
   Alcotest.test_case (Printf.sprintf "%s %d..%d" name lo (hi - 1)) `Slow (f lo hi)
 
@@ -442,6 +510,8 @@ let oracle_tests =
     chunk "closure scripts" 60 120 test_closure_scripts;
     chunk "closure scripts" 120 180 test_closure_scripts;
     chunk "closure scripts" 180 240 test_closure_scripts;
+    chunk "closure scripts" 240 320 test_closure_scripts;
+    chunk "closure scripts" 320 400 test_closure_scripts;
     chunk "edit+re-solve vs cold rebuild" 0 20 test_solve_scripts;
     chunk "edit+re-solve vs cold rebuild" 20 40 test_solve_scripts;
     chunk "edit+re-solve vs cold rebuild (pooled)" 40 60
@@ -464,6 +534,8 @@ let metamorphic_tests =
       test_unload_race_pinned_solve;
     Alcotest.test_case "edit cannot corrupt a pinned in-flight solve" `Quick
       test_edit_race_pinned_solve;
+    Alcotest.test_case "an edit carries every cached closure" `Quick
+      test_edit_carries_every_closure;
   ]
 
 let suite =

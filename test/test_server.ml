@@ -74,7 +74,7 @@ let test_wrong_kind_errors () =
       Alcotest.(check string) "mat as graph"
         "m is a similarity matrix, not a graph" m
   | Ok _ -> Alcotest.fail "a matrix must not look up as a graph");
-  match Catalog.mat c "pat" with
+  match Catalog.pin_mat c "pat" with
   | Error m ->
       Alcotest.(check string) "graph as mat"
         "pat is a graph, not a similarity matrix" m
@@ -135,29 +135,26 @@ let make_instance c ~xi =
   let mat, _ = ok_or_fail (Catalog.similarity c ~g1:"pat" ~g2:"store" ~sim:Catalog.Shingles) in
   Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi ()
 
+let candidates c ~instance =
+  let p1 = ok_or_fail (Catalog.pin c "pat") in
+  let p2 = ok_or_fail (Catalog.pin c "store") in
+  Catalog.candidates_pinned c ~instance ~p1 ~p2 ~sim:Catalog.Shingles
+    ~hops:None
+
 let test_candidates_cache () =
   let c = loaded_catalog () in
   let t1 = make_instance c ~xi:0.5 in
-  let p1 =
-    Catalog.candidates c ~instance:t1 ~g1:"pat" ~g2:"store" ~sim:Catalog.Shingles
-      ~hops:None
-  in
+  let p1 = candidates c ~instance:t1 in
   Alcotest.check prov "cold derives" Catalog.Miss p1;
   let t2 = make_instance c ~xi:0.5 in
-  let p2 =
-    Catalog.candidates c ~instance:t2 ~g1:"pat" ~g2:"store" ~sim:Catalog.Shingles
-      ~hops:None
-  in
+  let p2 = candidates c ~instance:t2 in
   Alcotest.check prov "fresh instance, same key: primed from cache" Catalog.Hit p2;
   Alcotest.(check bool) "tables shared"
     true
     (Phom.Instance.candidates t1 == Phom.Instance.candidates t2);
   (* ξ is part of the key *)
   let t3 = make_instance c ~xi:0.9 in
-  let p3 =
-    Catalog.candidates c ~instance:t3 ~g1:"pat" ~g2:"store" ~sim:Catalog.Shingles
-      ~hops:None
-  in
+  let p3 = candidates c ~instance:t3 in
   Alcotest.check prov "other xi is a miss" Catalog.Miss p3
 
 (* ---- protocol ---- *)
