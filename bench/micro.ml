@@ -63,6 +63,13 @@ let synth_instance m =
 
 let inst100 = synth_instance 100
 
+(* a branch and bound that keeps coming back to its depths: SPH1-1 on an
+   11-node tree against a 24-node DAG, 77,632 search nodes to the proven
+   optimum *)
+let tree11x24 =
+  Dp_bench.low_tw_instance ~seed:4 ~kind:`Tree ~n1:11 ~n2:24 ~m2:52 ~xi:0.5
+    ~weighted:true
+
 let sf_pair =
   let rng = rng () in
   let g1 = G.erdos_renyi ~rng ~n:60 ~m:150 ~labels:(fun i -> "n" ^ string_of_int (i mod 20)) in
@@ -97,6 +104,11 @@ let tests =
         (Staged.stage (fun () -> ignore (Phom.Comp_max_sim.run inst100)));
       Test.make ~name:"exact-decide/synthetic-m100"
         (Staged.stage (fun () -> ignore (Phom.Exact.decide ~budget:(Phom_graph.Budget.create ~steps:200_000 ()) inst100)));
+      (let t, weights = tree11x24 in
+       let objective = Phom.Exact.Similarity (Option.get weights) in
+       Test.make ~name:"exact-bb/tree-11x24-sph11"
+         (Staged.stage (fun () ->
+              ignore (Phom.Exact.solve ~injective:true ~objective t))));
       Test.make ~name:"simulation/synthetic-m100"
         (Staged.stage (fun () ->
              ignore

@@ -1,5 +1,6 @@
 module D = Phom_graph.Digraph
 module BM = Phom_graph.Bitmatrix
+module Bitset = Phom_graph.Bitset
 module Budget = Phom_graph.Budget
 module Simmat = Phom_sim.Simmat
 
@@ -18,14 +19,29 @@ let resolve_budget = function
   | Some b -> b
   | None -> Budget.create ~steps:5_000_000 ()
 
+(* a pattern edge at the node of some depth, to its neighbour [w], [out]
+   when it leaves that node. [masks.(j)] holds the node's row positions
+   that stay consistent with the edge while [w] takes its [j]th candidate:
+   built on first use, [none] until then ([masks] is [[||]] until the
+   link's first), and kept for the rest of the search *)
+type link = { w : int; out : bool; mutable masks : Bitset.t array }
+
+let none = Bitset.create 0
+
 (* what the search walks: the pattern nodes scarcest candidate row first
    (fail early, prune hard), and [suffix.(k)], the most value positions
-   [k..] of [order] can still add *)
+   [k..] of [order] can still add. Per depth, [seen] marks a first visit
+   done; [links], and [allowed], the buffer their masks are ANDed into, are
+   built when the depth is visited again. They stay with the plan, so a
+   second pass reuses the masks. *)
 type plan = {
   objective : objective;
   cands : int array array;
   order : int array;
   suffix : float array;
+  seen : bool array;
+  links : link array option array;
+  allowed : Bitset.t array;
 }
 
 let plan ~objective cands (t : Instance.t) =
@@ -43,32 +59,86 @@ let plan ~objective cands (t : Instance.t) =
            (fun acc u -> Float.max acc (pair_value objective t v u))
            0. cands.(v)
   done;
-  { objective; cands; order; suffix }
+  {
+    objective;
+    cands;
+    order;
+    suffix;
+    seen = Array.make n1 false;
+    links = Array.make n1 None;
+    allowed = Array.make n1 none;
+  }
 
 (* The one assignment-tree branch and bound. At depth [k], node [order.(k)]
    takes each candidate consistent under [tc2] with the nodes placed so far
-   (and unused, when [injective]), then stays unmapped unless [total]. Every
-   search node ticks [budget] once. [cut bound] prunes a subtree whose
-   [bound] (the value so far plus [suffix.(k)]) cannot pay; [leaf value
-   mapping] sees each complete assignment, [mapping ()] reading it out.
-   Callers stop early by raising from [leaf]. *)
+   (and unused, when [injective]), in row order, then stays unmapped unless
+   [total]. A depth's first visit probes [tc2] per candidate and placed
+   neighbour, so a search that never comes back allocates nothing; a
+   revisit takes the AND of the placed neighbours' masks, or the whole row
+   when none is placed. Only neighbours at earlier depths are ever placed,
+   so a self-loop never constrains. Every search node ticks [budget] once.
+   [cut bound] prunes a subtree whose [bound] (the value so far plus
+   [suffix.(k)]) cannot pay; [leaf value mapping] sees each complete
+   assignment, [mapping ()] reading it out. Callers stop early by raising
+   from [leaf]. *)
 let search p ~injective ~budget ~total ~cut ~leaf (t : Instance.t) =
   let n1 = Array.length p.order in
-  let assigned = Array.make n1 (-1) in
-  let used = Hashtbl.create 97 in
-  let consistent v u =
-    (not (injective && Hashtbl.mem used u))
-    && Array.for_all
-         (fun v' -> assigned.(v') < 0 || BM.get t.tc2 u assigned.(v'))
-         (D.succ t.g1 v)
-    && Array.for_all
-         (fun v' -> assigned.(v') < 0 || BM.get t.tc2 assigned.(v') u)
-         (D.pred t.g1 v)
+  (* [at.(v)]: the index in [v]'s row of its target, -1 while unplaced *)
+  let at = Array.make n1 (-1) in
+  let used = Bytes.make (if injective then D.n t.g2 else 0) '\000' in
+  let edge out u u' = if out then BM.get t.tc2 u u' else BM.get t.tc2 u' u in
+  let rec fits ws out u l =
+    l = Array.length ws
+    || (let w = ws.(l) in
+        (at.(w) < 0 || edge out u p.cands.(w).(at.(w)))
+        && fits ws out u (l + 1))
+  in
+  let links k v row =
+    match p.links.(k) with
+    | Some links -> links
+    | None ->
+        let link out w = { w; out; masks = [||] } in
+        let links =
+          Array.append
+            (Array.map (link true) (D.succ t.g1 v))
+            (Array.map (link false) (D.pred t.g1 v))
+        in
+        p.links.(k) <- Some links;
+        p.allowed.(k) <- Bitset.create (Array.length row);
+        links
+  in
+  let mask row lk j =
+    if Array.length lk.masks = 0 then
+      lk.masks <- Array.make (Array.length p.cands.(lk.w)) none;
+    if lk.masks.(j) == none then begin
+      let u' = p.cands.(lk.w).(j) and m = Bitset.create (Array.length row) in
+      for i = 0 to Array.length row - 1 do
+        if edge lk.out row.(i) u' then Bitset.add m i
+      done;
+      lk.masks.(j) <- m
+    end;
+    lk.masks.(j)
+  in
+  (* [allowed.(k)] := the AND of the placed links' masks; false when no
+     link is placed, leaving the buffer stale *)
+  let narrow k row links =
+    let a = p.allowed.(k) in
+    Array.fold_left
+      (fun any lk ->
+        let j = at.(lk.w) in
+        if j < 0 then any
+        else begin
+          let m = mask row lk j in
+          if any then Bitset.inter_into ~into:a m
+          else Bitset.copy_into ~into:a m;
+          true
+        end)
+      false links
   in
   let mapping () =
     let pairs = ref [] in
     for v = n1 - 1 downto 0 do
-      if assigned.(v) >= 0 then pairs := (v, assigned.(v)) :: !pairs
+      if at.(v) >= 0 then pairs := (v, p.cands.(v).(at.(v))) :: !pairs
     done;
     !pairs
   in
@@ -77,17 +147,31 @@ let search p ~injective ~budget ~total ~cut ~leaf (t : Instance.t) =
     if k = n1 then leaf value mapping
     else if not (cut (value +. p.suffix.(k))) then begin
       let v = p.order.(k) in
-      Array.iter
-        (fun u ->
-          if consistent v u then begin
-            assigned.(v) <- u;
-            if injective then Hashtbl.add used u ();
-            go (k + 1) (value +. pair_value p.objective t v u);
-            assigned.(v) <- -1;
-            if injective then Hashtbl.remove used u
-          end)
-        p.cands.(v);
+      let row = p.cands.(v) in
+      if not p.seen.(k) then begin
+        p.seen.(k) <- true;
+        let succ = D.succ t.g1 v and pred = D.pred t.g1 v in
+        for i = 0 to Array.length row - 1 do
+          if fits succ true row.(i) 0 && fits pred false row.(i) 0 then
+            place k v value i
+        done
+      end
+      else if narrow k row (links k v row) then
+        Bitset.iter (place k v value) p.allowed.(k)
+      else
+        for i = 0 to Array.length row - 1 do
+          place k v value i
+        done;
       if not total then go (k + 1) value
+    end
+  and place k v value i =
+    let u = p.cands.(v).(i) in
+    if not (injective && Bytes.get used u <> '\000') then begin
+      at.(v) <- i;
+      if injective then Bytes.set used u '\001';
+      go (k + 1) (value +. pair_value p.objective t v u);
+      at.(v) <- -1;
+      if injective then Bytes.set used u '\000'
     end
   in
   go 0 0.

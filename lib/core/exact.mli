@@ -1,9 +1,18 @@
 (** Exact solver: optimal (1-1) p-hom mappings and the NP-complete decision
     problems, by one assignment-tree branch and bound that [solve],
     [enumerate_optimal] and [decide] share: pattern nodes scarcest
-    candidate row first, each tried against its candidates (and, for the
-    optimisation passes, left unmapped), subtrees cut by a per-node
-    best-value suffix bound.
+    candidate row first, each tried against its candidates in row order
+    (and, for the optimisation passes, left unmapped), subtrees cut by a
+    per-node best-value suffix bound.
+
+    A depth's first visit tests each candidate against the placed
+    neighbours by closure lookups and allocates nothing. When the search
+    comes back to it, the candidates are the AND of memoised bitmasks, one
+    per placed neighbour and that neighbour's target, each built once over
+    the node's candidate row and kept for the rest of the search: at most
+    one closure-sized bit matrix per pattern edge. Masks change neither
+    the order nor the ticks, so answers and step counts are those of the
+    per-candidate test.
 
     Exponential in the worst case — Theorems 4.1/4.3 say nothing better is
     possible — but practical on small graphs. It serves three roles: the

@@ -340,8 +340,6 @@ let pin_sim t = function
   | Named n -> Result.map Option.some (pin_mat t n)
   | Equality | Shingles -> Ok None
 
-let graph t name = Result.map (fun p -> p.pin_graph) (pin t name)
-
 (* ---- artifact key tokens (the journal's and snapshot's key form) ---- *)
 
 let hops_token = function None -> "full" | Some k -> string_of_int k
@@ -744,8 +742,6 @@ let recall_solution t ~key =
   locked t (fun () ->
       Option.map (fun (_, _, m) -> m) (Hashtbl.find_opt t.solutions key))
 
-let cache_stats t = Lru.stats t.cache
-
 (* ---- durability: snapshot export / restore, journal replay ---- *)
 
 let export t =
@@ -785,20 +781,21 @@ let artifact_plausible t key art =
           && s = p.pin_sig
       | Error _ -> false)
   | K_matrix (g1, g2, _, _), A_matrix m -> (
-      match (graph t g1, graph t g2) with
-      | Ok a, Ok b -> Simmat.n1 m = D.n a && Simmat.n2 m = D.n b
+      match (pin t g1, pin t g2) with
+      | Ok a, Ok b ->
+          Simmat.n1 m = D.n a.pin_graph && Simmat.n2 m = D.n b.pin_graph
       | _ -> false)
   | K_cands (g1, g2, _, _, _, _), A_cands rows -> (
-      match (graph t g1, graph t g2) with
+      match (pin t g1, pin t g2) with
       | Ok a, Ok b ->
-          Array.length rows = D.n a
+          Array.length rows = D.n a.pin_graph
           && Array.for_all
-               (Array.for_all (fun u -> u >= 0 && u < D.n b))
+               (Array.for_all (fun u -> u >= 0 && u < D.n b.pin_graph))
                rows
       | _ -> false)
   | K_count (g1, g2, _, _, _, _), A_count { count; width; _ } -> (
-      match (graph t g1, graph t g2) with
-      | Ok a, Ok _ -> count >= 0 && width >= -1 && width < D.n a
+      match (pin t g1, pin t g2) with
+      | Ok a, Ok _ -> count >= 0 && width >= -1 && width < D.n a.pin_graph
       | _ -> false)
   | (K_closure _ | K_matrix _ | K_cands _ | K_count _), _ -> false
 

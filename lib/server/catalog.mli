@@ -78,8 +78,6 @@ val list :
   * (string * Phom_sim.Simmat.t) list
 (** Loaded graphs and matrices, each sorted by name. *)
 
-val graph : t -> string -> (Phom_graph.Digraph.t, string) result
-
 (** {1 Single-edge edits} *)
 
 type edit_result = {
@@ -252,8 +250,6 @@ val count_pinned :
     tree-decomposition DP runs under [budget]; only a [Complete] run is
     cached, so a hit can honestly report [Complete]. A tripped run returns
     its anytime [count = 0] result and is never inserted. *)
-
-val cache_stats : t -> Lru.stats
 
 (** {1 The warm-start solution store}
 

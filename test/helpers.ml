@@ -142,6 +142,29 @@ let check_valid ?(injective = false) t m =
 
 let check_mapping = Alcotest.(check (list (pair int int)))
 
+(* the value of the unlabelled series [name] among Prometheus lines, such
+   as a [stats] reply's body *)
+let metric_value lines name =
+  let prefix = name ^ " " in
+  match
+    List.find_opt
+      (fun l ->
+        String.length l > String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix)
+      lines
+  with
+  | None -> Alcotest.failf "metric %s missing from stats" name
+  | Some l ->
+      int_of_float
+        (float_of_string
+           (String.sub l (String.length prefix)
+              (String.length l - String.length prefix)))
+
+(* [name] as the registry dumps it now, the line the daemon's [stats] shows.
+   The cache probes read the most recently created catalog, so a reading
+   speaks for a catalog only while no other has been created since *)
+let probe name = metric_value (Phom_obs.Obs.dump_lines ()) name
+
 let contains_substring ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

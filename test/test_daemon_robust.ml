@@ -613,8 +613,13 @@ let test_unload_never_resurrects () =
     ignore (ok_or_fail (Catalog.unload c "store"));
     Domain.join solver;
     Alcotest.(check int) "no artifact survives its graph" 0
-      (Catalog.cache_stats c).Lru.entries
-  done
+      (Helpers.probe "phom_cache_entries")
+  done;
+  (* the probe that read 0 reads [c]: a closure it caches shows *)
+  ignore (ok_or_fail (Catalog.load_graph c ~name:"store" ~path:fig1_store));
+  ignore (ok_or_fail (Catalog.closure c ~name:"store" ~hops:None));
+  Alcotest.(check int) "probe reads this catalog" 1
+    (Helpers.probe "phom_cache_entries")
 
 (* ---- stale-socket detection at startup ---- *)
 

@@ -433,7 +433,7 @@ let test_unload_race_pinned_solve () =
     (BM.equal m1 (BC.relation pin.Catalog.pin_graph));
   (* the generation barrier refused the insertion: nothing of the purged
      graph is resurrected in the cache *)
-  Alcotest.(check int) "no resurrection" 0 (Catalog.cache_stats c).Phom_server.Lru.entries;
+  Alcotest.(check int) "no resurrection" 0 (Helpers.probe "phom_cache_entries");
   (* reload different content under the same name: the old pin's keys are
      signature-distinct, so the stale snapshot cannot poison the new one *)
   (match Catalog.load_graph c ~name:"d" ~path:fig1_pattern with
@@ -443,7 +443,10 @@ let test_unload_race_pinned_solve () =
   Alcotest.(check bool) "replacement has its own signature" false
     (pin.Catalog.pin_sig = pin2.Catalog.pin_sig);
   let _, prov2 = Catalog.closure_pinned c ~pin:pin2 ~hops:None in
-  Alcotest.(check bool) "new content computes fresh" true (prov2 = Catalog.Miss)
+  Alcotest.(check bool) "new content computes fresh" true (prov2 = Catalog.Miss);
+  (* the probe that read 0 above reads [c]: its one closure shows now *)
+  Alcotest.(check int) "probe reads this catalog" 1
+    (Helpers.probe "phom_cache_entries")
 
 let test_edit_race_pinned_solve () =
   let c = Catalog.create () in

@@ -129,21 +129,7 @@ let exec st line =
 
 let count_needle needle s = Helpers.count_substring ~needle s
 
-let metric_value lines name =
-  let prefix = name ^ " " in
-  match
-    List.find_opt
-      (fun l ->
-        String.length l > String.length prefix
-        && String.sub l 0 (String.length prefix) = prefix)
-      lines
-  with
-  | None -> Alcotest.failf "metric %s missing from stats" name
-  | Some l ->
-      int_of_float
-        (float_of_string
-           (String.sub l (String.length prefix)
-              (String.length l - String.length prefix)))
+let metric_value = Helpers.metric_value
 
 let test_daemon_stats_agree () =
   let st = Daemon.make_state Daemon.default_config in

@@ -69,7 +69,7 @@ let test_duplicate_name_refused () =
 let test_wrong_kind_errors () =
   let c = loaded_catalog () in
   ignore (ok_or_fail (Catalog.load_mat c ~name:"m" ~path:fig1_mate));
-  (match Catalog.graph c "m" with
+  (match Catalog.pin c "m" with
   | Error m ->
       Alcotest.(check string) "mat as graph"
         "m is a similarity matrix, not a graph" m
@@ -94,11 +94,14 @@ let test_closure_hit_miss_invalidation () =
   (* hit returns the resident matrix, not a recomputation *)
   let m2', _ = ok_or_fail (Catalog.closure c ~name:"store" ~hops:None) in
   Alcotest.(check bool) "physically shared" true (m2 == m2');
+  (* the probe reads [c]: its two closures are the registry's entries *)
+  Alcotest.(check int) "probe reads this catalog" 2
+    (Helpers.probe "phom_cache_entries");
   let dropped = ok_or_fail (Catalog.unload c "store") in
   Alcotest.(check int) "both artifacts invalidated" 2 dropped;
-  let s = Catalog.cache_stats c in
-  Alcotest.(check int) "cache empty" 0 s.Phom_server.Lru.entries;
-  Alcotest.(check int) "invalidation is not eviction" 0 s.Phom_server.Lru.evictions
+  Alcotest.(check int) "cache empty" 0 (Helpers.probe "phom_cache_entries");
+  Alcotest.(check int) "invalidation is not eviction" 0
+    (Helpers.probe "phom_cache_evictions_total")
 
 let test_tripped_budget_not_cached () =
   let c = loaded_catalog () in
@@ -129,8 +132,8 @@ let test_similarity_cache_and_named () =
   | Ok _ -> Alcotest.fail "dimension mismatch must be refused"
 
 let make_instance c ~xi =
-  let g1 = ok_or_fail (Catalog.graph c "pat") in
-  let g2 = ok_or_fail (Catalog.graph c "store") in
+  let g1 = (ok_or_fail (Catalog.pin c "pat")).Catalog.pin_graph in
+  let g2 = (ok_or_fail (Catalog.pin c "store")).Catalog.pin_graph in
   let tc2, _ = ok_or_fail (Catalog.closure c ~name:"store" ~hops:None) in
   let mat, _ = ok_or_fail (Catalog.similarity c ~g1:"pat" ~g2:"store" ~sim:Catalog.Shingles) in
   Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi ()
