@@ -131,10 +131,9 @@ let jobs_arg =
     value
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel solving runtime (components of \
-              the pattern fan out across domains when $(b,--partition) is \
-              set, and the tree-decomposition DP's join subtrees on the \
-              exact and dp routes and in $(b,count)). The default, \
+        ~doc:"Worker domains for the parallel solving runtime: with \
+              $(b,--partition), the components of the pattern are solved \
+              across domains. Nothing else fans out. The default, \
               $(b,--jobs 1), starts no pool and is bit-identical to a build \
               without parallelism.")
 
@@ -479,14 +478,14 @@ let witnesses_cmd =
 (* ---- count ---- *)
 
 let count_cmd =
-  let run pattern data xi sim mat_file hops timeout steps jobs =
+  let run pattern data xi sim mat_file hops timeout steps =
     guard @@ fun () ->
     check_xi xi;
     let budget = budget_of timeout steps in
     let g1 = load_graph pattern and g2 = load_graph data in
     let mat = matrix_of ?file:mat_file sim g1 g2 in
     let t = instance_of ?budget ?hops g1 g2 mat xi in
-    let r = with_pool jobs (fun pool -> Api.count ?budget ?pool t) in
+    let r = Api.count ?budget t in
     Printf.printf "mappings  : %d%s\n" r.Phom.Dp.count
       (if r.Phom.Dp.exact then "" else " (saturated, lower bound)");
     Printf.printf "width     : %d\n" r.Phom.Dp.width;
@@ -498,7 +497,7 @@ let count_cmd =
   let term =
     Term.(
       const run $ pattern_arg $ data_arg $ xi_arg $ sim_arg $ mat_file_arg
-      $ hops_arg $ timeout_arg $ steps_arg $ jobs_arg)
+      $ hops_arg $ timeout_arg $ steps_arg)
   in
   Cmd.v
     (Cmd.info "count"

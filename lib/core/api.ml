@@ -38,21 +38,6 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
     ?warm_start problem (t : Instance.t) =
   let inj = injective problem in
   let weights = match weights with Some w -> w | None -> default_weights t in
-  (* a previous mapping, repaired against the (possibly edited) instance,
-     becomes the anytime floor: a budget-tripped search never returns worse
-     than the salvage of what was already known. Complete results are left
-     alone — they are proven optimal, so the floor cannot beat them and the
-     answer stays identical to a cold solve. *)
-  let warm =
-    match warm_start with
-    | None -> None
-    | Some w -> (
-        match Warm.repair ~injective:inj t w with
-        | [] -> None
-        | r ->
-            Obs.incr (Obs.counter "phom_warm_seeds_total");
-            Some r)
-  in
   (* Exact_bb without an explicit budget runs on its own default token;
      record a trip so the caller still learns the result may be partial.
      Atomic because partitioned components may report from worker domains. *)
@@ -85,7 +70,7 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
     | (Dp_td | Exact_bb), _ ->
         settle
           (if algorithm = Dp_td || Dp.width sub <= max_width then
-             Dp.solve ~injective:inj ?budget ?pool ~objective sub
+             Dp.solve ~injective:inj ?budget ~objective sub
            else Exact.solve ~injective:inj ?budget ~objective sub)
   in
   (* an SCC collapsed to one node takes one pattern node under
@@ -144,15 +129,25 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
         | Budget.Complete -> Atomic.get inner_status)
     | None -> Atomic.get inner_status
   in
+  (* a previous mapping, repaired against the (possibly edited) instance,
+     becomes the anytime floor: a budget-tripped search never returns worse
+     than the salvage of what was already known. Complete results are left
+     alone — they are proven optimal, so the floor cannot beat them and the
+     answer stays identical to a cold solve — and so only an exhausted
+     search pays for the repair. *)
   let mapping, quality =
-    match (status, warm) with
-    | Budget.Exhausted _, Some w ->
-        let wq = qual w in
-        if wq > quality then begin
-          Obs.incr (Obs.counter "phom_warm_rescued_total");
-          (w, wq)
-        end
-        else (mapping, quality)
+    match (status, warm_start) with
+    | Budget.Exhausted _, Some w -> (
+        match Warm.repair ~injective:inj t w with
+        | [] -> (mapping, quality)
+        | r ->
+            Obs.incr (Obs.counter "phom_warm_seeds_total");
+            let wq = qual r in
+            if wq > quality then begin
+              Obs.incr (Obs.counter "phom_warm_rescued_total");
+              (r, wq)
+            end
+            else (mapping, quality))
     | _ -> (mapping, quality)
   in
   (match status with
@@ -231,6 +226,6 @@ let decide_phom ?budget t = Exact.decide ~injective:false ?budget t
 
 let decide_one_one_phom ?budget t = Exact.decide ~injective:true ?budget t
 
-let count ?budget ?pool t =
+let count ?budget t =
   Obs.incr (Obs.counter "phom_solver_counts_total");
-  Obs.span "count" @@ fun () -> Dp.count ?budget ?pool t
+  Obs.span "count" @@ fun () -> Dp.count ?budget t

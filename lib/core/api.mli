@@ -62,17 +62,19 @@ val solve_within :
   result
 (** [warm_start] re-seeds the solve from a previous answer — typically the
     mapping found before an [addedge]/[deledge] edit of one of the graphs.
-    The mapping is repaired against the current instance ({!Warm.repair})
-    and acts as an anytime incumbent: when the budget trips, the result is
-    never worse than the repaired seed. A [Complete] result is returned
-    unchanged (it is proven optimal), so warm-started solves that run to
-    completion stay byte-identical to cold ones.
+    It acts as an anytime incumbent: when the budget trips, the mapping is
+    repaired against the current instance ({!Warm.repair}) and the result
+    is never worse than the repaired seed. A [Complete] result is returned
+    unchanged (it is proven optimal) and the seed is never repaired, so
+    warm-started solves that run to completion stay byte-identical to cold
+    ones. [phom_warm_seeds_total] counts the non-empty seeds repaired for an
+    exhausted search, and [phom_warm_rescued_total] those that beat it.
 
     [max_width] (default 4) is the decomposition-width ceiling up to which
     [Exact_bb] requests are answered by the tree-decomposition DP
     ({!Dp.solve}) instead of the branch and bound; [Dp_td] forces the DP
-    regardless of width, with the budget as the guard rail. [pool]
-    additionally fans the DP's join subtrees out across domains.
+    regardless of width, with the budget as the guard rail. The DP runs on
+    the caller's domain; [pool] serves [partition] only (below).
 
     [weights] applies to SPH/SPH¹⁻¹ (default all ones). [partition] enables
     the Appendix-B G1 partitioning (p-hom problems only — ignored for the
@@ -98,13 +100,16 @@ val solve_within :
     shared state per request (see {!Instance.preset_candidates} for priming
     it from an artifact cache).
 
-    [pool] parallelizes the [partition] fan-out: each weakly connected
-    component of the trimmed [G1] is solved on a pool domain, with [budget]
-    forked into domain-safe children ({!Phom_graph.Budget.fork}) whose
-    first trip stops every worker. Results are merged in deterministic
-    component order, so without a budget trip the mapping is identical to
-    the sequential one; a size-1 pool (or no pool) runs the historical
-    sequential code path, bit for bit. *)
+    [pool] serves the [partition] fan-out and nothing else: each weakly
+    connected component of the trimmed [G1] is solved on a pool domain,
+    with [budget] forked into domain-safe children
+    ({!Phom_graph.Budget.fork}) whose first trip stops every worker.
+    Results are merged in deterministic component order, so without a
+    budget trip the mapping is identical to the sequential one; a size-1
+    pool (or no pool) runs the historical sequential code path, bit for
+    bit. A child's unused step lease is not returned, so a pooled
+    partitioned solve under a step cap can trip up to 127 steps per
+    component before the sequential one would. *)
 
 val solve :
   ?algorithm:algorithm ->
@@ -137,7 +142,6 @@ val decide_one_one_phom :
 
 val count :
   ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
   Instance.t ->
   Dp.count_result
 (** How many total valid p-hom mappings the instance admits — the counting

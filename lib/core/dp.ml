@@ -9,15 +9,15 @@ let pair_value objective (t : Instance.t) =
   | Exact.Cardinality -> fun _ _ -> 1.
   | Exact.Similarity w -> fun v u -> w.(v) *. Phom_sim.Simmat.get t.mat v u
 
-let relaxed ?budget ?pool ~objective (t : Instance.t) =
+let relaxed ?budget ~objective (t : Instance.t) =
   let nice = Td.nice (Td.compute t.Instance.g1) in
-  Dpx.solve ?budget ?pool ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
+  Dpx.solve ?budget ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
     ~cands:(Instance.candidates t)
     ~pair_value:(pair_value objective t)
     nice
 
-let solve ?(injective = false) ?budget ?pool ~objective (t : Instance.t) =
-  let o = relaxed ?budget ?pool ~objective t in
+let solve ?(injective = false) ?budget ~objective (t : Instance.t) =
+  let o = relaxed ?budget ~objective t in
   let witness_ok =
     (not injective) || Mapping.is_injective o.Dpx.mapping
   in
@@ -36,10 +36,10 @@ type count_result = {
   status : Budget.status;
 }
 
-let count ?budget ?pool (t : Instance.t) =
+let count ?budget (t : Instance.t) =
   let td = Td.compute t.Instance.g1 in
   let c =
-    Dpx.count ?budget ?pool ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
+    Dpx.count ?budget ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
       ~cands:(Instance.candidates t)
       (Td.nice td)
   in

@@ -9,7 +9,9 @@
     relaxation first: when the witness happens to be injective it is
     provably optimal for the 1-1 problem too (the relaxation bounds it
     from above and the witness is feasible); otherwise the call falls back
-    to the branch-and-bound on the same budget. *)
+    to the branch-and-bound on the same budget. Both run on the caller's
+    domain, so a step cap completes exactly when it covers the DP's rows
+    (and the fallback's search nodes), whatever pool the caller holds. *)
 
 val width : Instance.t -> int
 (** Width of the greedy decomposition of [g1] — the auto-selection probe.
@@ -18,7 +20,6 @@ val width : Instance.t -> int
 val solve :
   ?injective:bool ->
   ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
   objective:Exact.objective ->
   Instance.t ->
   Exact.outcome
@@ -36,7 +37,6 @@ type count_result = {
 
 val count :
   ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
   Instance.t ->
   count_result
 (** Number of total valid p-hom mappings of the whole pattern (every node

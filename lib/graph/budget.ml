@@ -151,6 +151,9 @@ let why t = t.stop
 let steps_used t = t.steps
 
 let fork parent =
+  (* a child's steps are leases it already drew from the ledger: joining a
+     grandchild into it would make its next tick lease them again *)
+  if parent.is_child then invalid_arg "Budget.fork: a forked token cannot be forked";
   let s =
     match parent.shared with
     | Some s -> s

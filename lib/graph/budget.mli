@@ -90,30 +90,38 @@ val cancel : t -> unit
       List.iter (fun (_, c) -> Budget.join b c) children
     ]}
 
-    The children draw steps from a single atomic ledger in small leases, so
-    the family-wide step cap is exact (the grants partition the remaining
-    allowance — the family can never consume more total ticks than the
-    parent could have), they share the parent's wall-clock deadline and
-    cancellation hook, and the first member to trip — for any reason —
-    publishes the trip so every sibling stops at its next poll point
-    (first-exhausted cancels the family). Anytime semantics survive: each
-    task returns its best-so-far result, exactly as in sequential runs.
+    The children draw steps from a single atomic ledger in leases of 128
+    steps. The grants never exceed the parent's remaining allowance, so the
+    family never consumes more ticks than the parent could have. The cap is
+    an upper bound, not an exact one: a child's unused lease (at most 127
+    steps) is never returned to the ledger, so once a child has finished,
+    its siblings can trip up to 127 steps per finished child before the
+    parent alone would have. The children share the parent's wall-clock
+    deadline and cancellation hook, and the first member to trip — for any
+    reason — publishes the trip so every sibling stops at its next poll
+    point (first-exhausted cancels the family). Anytime semantics survive:
+    each task returns its best-so-far result, exactly as in sequential
+    runs.
 
     Rules: {!fork} must be called by the domain that owns the token being
-    forked (pre-fork the children before handing them to pool tasks, or
-    fork inside the task that owns a child); a parent must not {!tick}
-    while its children are live; {!join} folds a child's consumption and
-    trip reason back into the parent, so after joining every child,
-    {!steps_used} of the parent counts the whole family's work and
-    {!status} reports the family's first trip. A user-supplied [cancel]
-    hook is called from worker domains and must be domain-safe. *)
+    forked (pre-fork the children before handing them to pool tasks); a
+    parent must not {!tick} while its children are live; {!join} folds a
+    child's consumption and trip reason back into the parent, so after
+    joining every child, {!steps_used} of the parent counts the whole
+    family's work and {!status} reports the family's first trip. Forks do
+    not nest: a child's steps are leases it already drew, so joining a
+    grandchild into it would charge the grandchild's steps to the ledger
+    twice. The one fork in the library, the [partition] fan-out of
+    [Phom.Api.solve_within], forks a plain token once per component. A
+    user-supplied [cancel] hook is called from worker domains and must be
+    domain-safe. *)
 
 val fork : t -> t
 (** [fork parent] is a child token drawing on [parent]'s remaining
     allowance, for use by exactly one parallel task. Forking an
-    already-exhausted parent yields an already-tripped child. Children can
-    be forked further (the grandchildren draw from the same family
-    ledger). *)
+    already-exhausted parent yields an already-tripped child.
+
+    @raise Invalid_argument if [parent] was itself created by {!fork}. *)
 
 val join : t -> t -> unit
 (** [join parent child] folds [child]'s step consumption and trip status

@@ -217,12 +217,3 @@ let await fut =
   | Done v -> v
   | Raised e -> raise e
   | Pending -> assert false
-
-let both t fa fb =
-  match
-    map t
-      (fun side -> match side with `A -> `RA (fa ()) | `B -> `RB (fb ()))
-      [| `A; `B |]
-  with
-  | [| `RA a; `RB b |] -> (a, b)
-  | _ -> assert false

@@ -2,19 +2,18 @@
     fan-out, built on stdlib [Domain], [Atomic], [Mutex] and [Condition]
     only — no external dependencies.
 
-    The solving seams of this repository decompose into independent units
-    (the weakly-connected components of [G1] under partitioning, the two
-    subtrees of a tree-decomposition join, the daemon's request jobs, the
-    bench harness's sweep points and per-version match jobs); a pool runs
-    those units across domains while keeping results deterministic: {!map}
-    returns results in input order, and a pool of size 1 executes the exact
-    sequential code path, so [--jobs 1] is bit-identical to a build without
-    this library.
+    Three seams of this repository decompose into independent units: the
+    weakly-connected components of [G1] under partitioning, the daemon's
+    request jobs, and the bench harness's sweep points and per-version
+    match jobs. A pool runs those units across domains while keeping
+    results deterministic: {!map} returns results in input order, and a
+    pool of size 1 executes the exact sequential code path, so [--jobs 1]
+    is bit-identical to a build without this library.
 
     Submitting work is only allowed from the domain that created the pool
-    or from inside a pool task (nested {!map}/{!both} are safe: the caller
-    of a batch always participates in executing it, so progress never
-    depends on a free worker). Tasks themselves must be domain-safe: they
+    or from inside a pool task (a nested {!map} is safe: the caller of a
+    batch always participates in executing it, so progress never depends
+    on a free worker). Tasks themselves must be domain-safe: they
     must not share mutable state unless that state is synchronized (see
     {!Phom_graph.Budget.fork} for the budget tokens). *)
 
@@ -65,12 +64,6 @@ val await : 'a future -> 'a
     exception. Safe to call from any domain and more than once. If the pool
     is shut down before the task was started, {!shutdown} runs the task in
     the shutting-down caller, so [await] never hangs. *)
-
-val both : t -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** [both pool fa fb] evaluates the two thunks, possibly in parallel, and
-    returns both results. On a pool of size 1 this is exactly
-    [(fa (), fb ())], in that order. Used for divide-and-conquer splits
-    (e.g. the Ramsey recursion). *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains. Idempotent. Operations on a shut-down

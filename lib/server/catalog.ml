@@ -606,8 +606,10 @@ let instance_pinned ?budget ?matv t ~p1 ~p2 ~sim ~hops ~xi =
 (* the count verb's answer is itself a (tiny) cacheable artifact: the DP
    is deterministic, so a completed count for the same key is the answer.
    Only Complete runs are cached — a tripped count is a partial table, not
-   an under-approximation — and a hit legitimately reports Complete *)
-let count_pinned ?budget ?pool ?matv t ~instance ~p1 ~p2 ~sim ~hops =
+   an under-approximation — and a hit legitimately reports Complete.
+   [pool] is ignored: the DP runs on the caller's domain, and the
+   parameter stays only because phombench's tracer still passes one *)
+let count_pinned ?budget ?pool:_ ?matv t ~instance ~p1 ~p2 ~sim ~hops =
   let gen0 = generation t in
   let xi = instance.Phom.Instance.xi in
   let psig =
@@ -620,7 +622,7 @@ let count_pinned ?budget ?pool ?matv t ~instance ~p1 ~p2 ~sim ~hops =
   | Some (A_count { count; exact; width }) ->
       ({ Phom.Dp.count; exact; width; status = Budget.Complete }, Hit)
   | Some _ | None ->
-      let r = Phom.Api.count ?budget ?pool instance in
+      let r = Phom.Api.count ?budget instance in
       if r.Phom.Dp.status = Budget.Complete && cacheable budget then
         put_artifact t ~gen0 ~pins:[ p1; p2 ] key
           (A_count

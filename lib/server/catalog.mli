@@ -249,7 +249,9 @@ val count_pinned :
     words), same keying as {!candidates_pinned}. On a miss the
     tree-decomposition DP runs under [budget]; only a [Complete] run is
     cached, so a hit can honestly report [Complete]. A tripped run returns
-    its anytime [count = 0] result and is never inserted. *)
+    its anytime [count = 0] result and is never inserted. [pool] is
+    ignored — the DP runs on the caller's domain; it is kept only so that
+    existing callers (phombench's tracer) still compile. *)
 
 (** {1 The warm-start solution store}
 

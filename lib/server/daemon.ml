@@ -416,7 +416,7 @@ type prepared = Reply of string | Job of job
    so a catalog mutation mid-flight makes lookups miss rather than serve
    mismatched state. In the job: the artifact chain, then [tail] — the
    engine and its reply. *)
-let engine_job st ~g1 ~g2 ~sim ~hops ~xi ~timeout ~steps ~sequential tail =
+let engine_job st ~g1 ~g2 ~sim ~hops ~xi ~timeout ~steps tail =
   let ( let* ) r f =
     match r with Error e -> Reply (error "%s" e) | Ok v -> f v
   in
@@ -426,15 +426,13 @@ let engine_job st ~g1 ~g2 ~sim ~hops ~xi ~timeout ~steps ~sequential tail =
   (* the budget is anchored at request receipt: artifact building, solving
      and reply formatting all draw on the same allowance *)
   let budget, cancel = budget_for st ~timeout ~steps in
-  (* a [--jobs 1] request computes without fan-out *)
-  let pool = if sequential then sequential_pool else st.pool in
   let run () =
     Faults.solve_delay ();
     match
       Catalog.instance_pinned ~budget ?matv st.catalog ~p1 ~p2 ~sim ~hops ~xi
     with
     | Error e -> error "%s" e
-    | Ok (t, prov) -> tail ~budget ~pool ~p1 ~p2 ~matv t prov
+    | Ok (t, prov) -> tail ~budget ~p1 ~p2 ~matv t prov
   in
   Job { cancel; run }
 
@@ -455,8 +453,10 @@ let prepare_solve st (s : Protocol.solve) =
   let warm_start = Catalog.recall_solution st.catalog ~key:wkey in
   engine_job st ~g1:s.Protocol.g1 ~g2:s.Protocol.g2 ~sim:s.Protocol.sim
     ~hops:s.Protocol.hops ~xi:s.Protocol.xi ~timeout:s.Protocol.timeout
-    ~steps:s.Protocol.steps ~sequential:s.Protocol.sequential
-    (fun ~budget ~pool ~p1 ~p2:_ ~matv:_ t prov ->
+    ~steps:s.Protocol.steps
+    (fun ~budget ~p1 ~p2:_ ~matv:_ t prov ->
+      (* a [--jobs 1] request solves its components without fan-out *)
+      let pool = if s.Protocol.sequential then sequential_pool else st.pool in
       let r =
         Api.solve_within ~algorithm:s.Protocol.algorithm
           ~partition:s.Protocol.partition ~compress:s.Protocol.compress
@@ -478,11 +478,11 @@ let prepare_solve st (s : Protocol.solve) =
 let prepare_count st (c : Protocol.count) =
   engine_job st ~g1:c.Protocol.g1 ~g2:c.Protocol.g2 ~sim:c.Protocol.sim
     ~hops:c.Protocol.hops ~xi:c.Protocol.xi ~timeout:c.Protocol.timeout
-    ~steps:c.Protocol.steps ~sequential:c.Protocol.sequential
-    (fun ~budget ~pool ~p1 ~p2 ~matv t prov ->
+    ~steps:c.Protocol.steps
+    (fun ~budget ~p1 ~p2 ~matv t prov ->
       let r, count_prov =
-        Catalog.count_pinned ~budget ~pool ?matv st.catalog ~instance:t ~p1
-          ~p2 ~sim:c.Protocol.sim ~hops:c.Protocol.hops
+        Catalog.count_pinned ~budget ?matv st.catalog ~instance:t ~p1 ~p2
+          ~sim:c.Protocol.sim ~hops:c.Protocol.hops
       in
       ok "count value=%d exact=%b width=%d status=%s cache=%s" r.Phom.Dp.count
         r.Phom.Dp.exact r.Phom.Dp.width

@@ -21,7 +21,6 @@ type count = {
   hops : int option;
   timeout : float option;
   steps : int option;
-  sequential : bool;
 }
 
 type edit = {
@@ -280,7 +279,6 @@ let parse line =
                  hops = s.hops;
                  timeout = s.timeout;
                  steps = s.steps;
-                 sequential = s.sequential;
                }))
   | "count" :: _ -> err "usage: count G1 G2 [flags]"
   | cmd :: _ -> err "unknown command %s (%s)" cmd verb_summary

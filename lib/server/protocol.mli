@@ -45,9 +45,11 @@
     what makes re-delivered edit lines (router replay, retries) converge
     instead of double-applying.
 
-    [--jobs 1] forces the request onto the sequential code path (no pool
-    job, no partition fan-out across domains); any other value uses the
-    daemon's shared pool. [--timeout]/[--steps] bound this one request (they
+    [--jobs 1] keeps a [solve --partition] from fanning its components
+    out across domains: they are solved one after another on the request's
+    own job. Any other value lets them use the daemon's shared pool. On
+    [count] the token is accepted and has no effect: the DP always runs on
+    the request's job. [--timeout]/[--steps] bound this one request (they
     default to the daemon's [--default-timeout]/[--default-steps]); replies
     then carry [status=exhausted(...)] with the best-so-far answer, exactly
     like the CLI's exit-code-2 contract. *)
@@ -75,7 +77,6 @@ type count = {
   hops : int option;
   timeout : float option;
   steps : int option;
-  sequential : bool;  (** [--jobs 1] *)
 }
 
 type edit = {

@@ -1,7 +1,6 @@
 module D = Phom_graph.Digraph
 module BM = Phom_graph.Bitmatrix
 module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 module Obs = Phom_obs.Obs
 module T = Treedecomp
 
@@ -99,8 +98,7 @@ let compatible tc2 (p : intro_plan) key u =
        p.cons
 
 (* ---------------------------------------------------------------- *)
-(* Traversal: bottom-up over the nice tree, join subtrees fanning    *)
-(* out on the pool under forked budgets                              *)
+(* The table pass: every nice-tree node, bottom-up, one tick a row   *)
 (* ---------------------------------------------------------------- *)
 
 let m_rows = Obs.counter "phom_dp_table_rows_total"
@@ -116,136 +114,125 @@ let observe_shape (nt : T.nice) =
   Obs.add m_bags (Array.length nt.T.nkind);
   Obs.observe (width_hist ()) (float_of_int (max 0 nt.T.nwidth))
 
-let traverse ?pool budget (nt : T.nice) f =
-  let m = Array.length nt.T.nkind in
-  let tables = Array.make m None in
-  let rec compute b node =
-    let kids =
-      match nt.T.nchildren.(node) with
-      | [||] -> [||]
-      | [| c |] -> [| compute b c |]
-      | [| c1; c2 |] -> (
-          match pool with
-          | Some p when Pool.size p > 1 ->
-              (* pre-fork in the owning domain; the parent must not tick
-                 while the leases are out, and [Pool.both] runs both
-                 tasks to completion even when one of them trips *)
-              let b1 = Budget.fork b and b2 = Budget.fork b in
-              let r =
-                try
-                  Ok (Pool.both p (fun () -> compute b1 c1) (fun () -> compute b2 c2))
-                with e -> Error e
-              in
-              Budget.join b b1;
-              Budget.join b b2;
-              (match r with
-              | Ok (t1, t2) -> [| t1; t2 |]
-              | Error e -> raise e)
-          | _ ->
-              (* no pool or a size-1 one: the sequential path on the
-                 caller's own budget, as [Pool]'s contract promises *)
-              let t1 = compute b c1 in
-              let t2 = compute b c2 in
-              [| t1; t2 |])
-      | _ -> assert false
-    in
-    let t = f b node kids in
-    tables.(node) <- Some t;
-    t
-  in
-  let root = compute budget nt.T.root in
-  (root, tables)
+(* what [solve] and [count] do differently, row by row *)
+type 'a ops = {
+  unmapped : bool;  (* an introduced node may also stay unmapped *)
+  leaf : 'a;  (* the empty assignment's row *)
+  gain : int -> int -> 'a -> 'a;
+      (* [gain v u x]: a row [x] extended by [v ↦ u], [u = -1] for unmapped *)
+  merge : 'a -> 'a -> 'a;
+      (* forget: the kept row and another child row that lands on its key;
+         returning the kept row itself leaves the table untouched *)
+  join : int array -> int array -> 'a -> 'a -> 'a;
+      (* [join bag key x1 x2]: the two subtree rows agreeing on [key] *)
+}
+
+(* node ids are a bottom-up order (children first), so one loop fills
+   every table; a trip raises [Budget.Exhausted_budget] out of it *)
+let tables ops budget ~tc2 ~cands np (nt : T.nice) =
+  let tables = Array.make (Array.length np) (Hashtbl.create 0) in
+  Array.iteri
+    (fun node plan ->
+      let rows = ref 0 in
+      let row () =
+        Budget.tick_exn budget;
+        incr rows
+      in
+      let child k = tables.(nt.T.nchildren.(node).(k)) in
+      let t =
+        match plan with
+        | P_leaf ->
+            let t = Hashtbl.create 1 in
+            row ();
+            Hashtbl.replace t [||] ops.leaf;
+            t
+        | P_intro p ->
+            let ct = child 0 in
+            let t = Hashtbl.create (2 * (Hashtbl.length ct + 1)) in
+            let emit key x u =
+              row ();
+              Hashtbl.replace t (key_insert key p.ipos u) (ops.gain p.iv u x)
+            in
+            Hashtbl.iter
+              (fun key x ->
+                if ops.unmapped then emit key x (-1);
+                Array.iter
+                  (fun u -> if compatible tc2 p key u then emit key x u)
+                  cands.(p.iv))
+              ct;
+            t
+        | P_forget { fpos; _ } ->
+            let ct = child 0 in
+            let t = Hashtbl.create (Hashtbl.length ct + 1) in
+            Hashtbl.iter
+              (fun key x ->
+                row ();
+                let key' = key_remove key fpos in
+                match Hashtbl.find_opt t key' with
+                | None -> Hashtbl.replace t key' x
+                | Some kept ->
+                    let m = ops.merge kept x in
+                    if m != kept then Hashtbl.replace t key' m)
+              ct;
+            t
+        | P_join ->
+            Obs.incr m_joins;
+            let t1 = child 0 and t2 = child 1 in
+            let bag = nt.T.nbags.(node) in
+            let t = Hashtbl.create (Hashtbl.length t1 + 1) in
+            Hashtbl.iter
+              (fun key x1 ->
+                row ();
+                match Hashtbl.find_opt t2 key with
+                | None -> ()
+                | Some x2 -> Hashtbl.replace t key (ops.join bag key x1 x2))
+              t1;
+            t
+      in
+      Obs.add m_rows !rows;
+      tables.(node) <- t)
+    np;
+  tables
 
 (* ---------------------------------------------------------------- *)
 (* Optimisation                                                     *)
 (* ---------------------------------------------------------------- *)
 
-let solve ?budget ?pool ~g1 ~tc2 ~cands ~pair_value (nt : T.nice) =
+let solve ?budget ~g1 ~tc2 ~cands ~pair_value (nt : T.nice) =
   Obs.span "dp" @@ fun () ->
   let budget = resolve_budget budget in
   observe_shape nt;
   let np = plans g1 nt in
-  let node_table b node (kids : (int array, float) Hashtbl.t array) =
-    let rows = ref 0 in
-    let row b =
-      Budget.tick_exn b;
-      incr rows
-    in
-    let t =
-      match np.(node) with
-      | P_leaf ->
-          let t = Hashtbl.create 1 in
-          row b;
-          Hashtbl.replace t [||] 0.;
-          t
-      | P_intro p ->
-          let ct = kids.(0) in
-          let t = Hashtbl.create (2 * (Hashtbl.length ct + 1)) in
-          Hashtbl.iter
-            (fun key v ->
-              let emit u gain =
-                row b;
-                Hashtbl.replace t (key_insert key p.ipos u) (v +. gain)
-              in
-              (* leaving [iv] unmapped is always allowed: the DP optimises
-                 over partial mappings, matching the B&B's "skip" branch *)
-              emit (-1) 0.;
-              Array.iter
-                (fun u ->
-                  if compatible tc2 p key u then emit u (pair_value p.iv u))
-                cands.(p.iv))
-            ct;
-          t
-      | P_forget { fpos; _ } ->
-          let ct = kids.(0) in
-          let t = Hashtbl.create (Hashtbl.length ct + 1) in
-          Hashtbl.iter
-            (fun key v ->
-              row b;
-              let key' = key_remove key fpos in
-              match Hashtbl.find_opt t key' with
-              | Some v' when v' >= v -> ()
-              | _ -> Hashtbl.replace t key' v)
-            ct;
-          t
-      | P_join ->
-          Obs.incr m_joins;
-          let t1 = kids.(0) and t2 = kids.(1) in
-          let bag = nt.T.nbags.(node) in
-          let t = Hashtbl.create (Hashtbl.length t1 + 1) in
-          Hashtbl.iter
-            (fun key v1 ->
-              row b;
-              match Hashtbl.find_opt t2 key with
-              | None -> ()
-              | Some v2 ->
-                  (* both subtree values include the bag's own gain *)
-                  let bagv = ref 0. in
-                  Array.iteri
-                    (fun j u ->
-                      if u >= 0 then bagv := !bagv +. pair_value bag.(j) u)
-                    key;
-                  Hashtbl.replace t key (v1 +. v2 -. !bagv))
-            t1;
-          t
-    in
-    Obs.add m_rows !rows;
-    t
+  let ops =
+    {
+      (* leaving a node unmapped is always allowed: the DP optimises over
+         partial mappings, matching the B&B's "skip" branch *)
+      unmapped = true;
+      leaf = 0.;
+      gain = (fun v u x -> x +. (if u < 0 then 0. else pair_value v u));
+      merge = (fun kept x -> if kept >= x then kept else x);
+      join =
+        (fun bag key x1 x2 ->
+          (* both subtree values include the bag's own gain *)
+          let bagv = ref 0. in
+          Array.iteri
+            (fun j u -> if u >= 0 then bagv := !bagv +. pair_value bag.(j) u)
+            key;
+          x1 +. x2 -. !bagv);
+    }
   in
-  match traverse ?pool budget nt node_table with
+  match tables ops budget ~tc2 ~cands np nt with
   | exception Budget.Exhausted_budget ->
       (* tables died with the budget; the empty mapping is the one
          witness we can still vouch for *)
       { mapping = []; value = 0.; status = Budget.status budget }
-  | root_table, tables ->
-      let value = Hashtbl.find root_table [||] in
-      let table node = Option.get tables.(node) in
+  | tables ->
+      let value = Hashtbl.find tables.(nt.T.root) [||] in
       let chosen = Hashtbl.create 16 in
       (* top-down over the stored tables; at a forget, rediscover the
          extension that produced the kept maximum. Scan order (unmapped
          first, then candidates in row order) fixes ties independently of
-         any hashtable iteration order, so sequential and pooled runs
-         reconstruct the same mapping. *)
+         any hashtable iteration order. *)
       let rec walk node key =
         match np.(node) with
         | P_leaf -> ()
@@ -254,8 +241,8 @@ let solve ?budget ?pool ~g1 ~tc2 ~cands ~pair_value (nt : T.nice) =
             if u >= 0 then Hashtbl.replace chosen p.iv u;
             walk nt.T.nchildren.(node).(0) (key_remove key p.ipos)
         | P_forget { fpos; fv } ->
-            let target = Hashtbl.find (table node) key in
-            let ct = table nt.T.nchildren.(node).(0) in
+            let target = Hashtbl.find tables.(node) key in
+            let ct = tables.(nt.T.nchildren.(node).(0)) in
             let hit = ref (-2) in
             let try_ext u =
               if !hit = -2 then
@@ -286,91 +273,43 @@ let solve ?budget ?pool ~g1 ~tc2 ~cands ~pair_value (nt : T.nice) =
    silently negative one *)
 let add_sat sat a b =
   if a > max_int - b then begin
-    Atomic.set sat true;
+    sat := true;
     max_int
   end
   else a + b
 
 let mul_sat sat a b =
   if a > 0 && b > max_int / a then begin
-    Atomic.set sat true;
+    sat := true;
     max_int
   end
   else a * b
 
-let count ?budget ?pool ~g1 ~tc2 ~cands (nt : T.nice) =
+let count ?budget ~g1 ~tc2 ~cands (nt : T.nice) =
   Obs.span "dp" @@ fun () ->
   let budget = resolve_budget budget in
   observe_shape nt;
-  let np = plans g1 nt in
-  let sat = Atomic.make false in
-  let node_table b node (kids : (int array, int) Hashtbl.t array) =
-    let rows = ref 0 in
-    let row b =
-      Budget.tick_exn b;
-      incr rows
-    in
-    let t =
-      match np.(node) with
-      | P_leaf ->
-          let t = Hashtbl.create 1 in
-          row b;
-          Hashtbl.replace t [||] 1;
-          t
-      | P_intro p ->
-          (* total mappings only: no "unmapped" extension here *)
-          let ct = kids.(0) in
-          let t = Hashtbl.create (2 * (Hashtbl.length ct + 1)) in
-          Hashtbl.iter
-            (fun key c ->
-              Array.iter
-                (fun u ->
-                  if compatible tc2 p key u then begin
-                    row b;
-                    Hashtbl.replace t (key_insert key p.ipos u) c
-                  end)
-                cands.(p.iv))
-            ct;
-          t
-      | P_forget { fpos; _ } ->
-          let ct = kids.(0) in
-          let t = Hashtbl.create (Hashtbl.length ct + 1) in
-          Hashtbl.iter
-            (fun key c ->
-              row b;
-              let key' = key_remove key fpos in
-              let prev =
-                match Hashtbl.find_opt t key' with Some p -> p | None -> 0
-              in
-              Hashtbl.replace t key' (add_sat sat prev c))
-            ct;
-          t
-      | P_join ->
-          Obs.incr m_joins;
-          let t1 = kids.(0) and t2 = kids.(1) in
-          let t = Hashtbl.create (Hashtbl.length t1 + 1) in
-          Hashtbl.iter
-            (fun key c1 ->
-              row b;
-              match Hashtbl.find_opt t2 key with
-              | None -> ()
-              | Some c2 ->
-                  (* the forgotten-below vertex sets of the two subtrees
-                     are disjoint, so extensions multiply *)
-                  Hashtbl.replace t key (mul_sat sat c1 c2))
-            t1;
-          t
-    in
-    Obs.add m_rows !rows;
-    t
+  let sat = ref false in
+  let ops =
+    {
+      unmapped = false;  (* total mappings only *)
+      leaf = 1;
+      gain = (fun _ _ c -> c);
+      merge = add_sat sat;
+      (* the forgotten-below vertex sets of the two subtrees are disjoint,
+         so extensions multiply *)
+      join = (fun _ _ c1 c2 -> mul_sat sat c1 c2);
+    }
   in
-  match traverse ?pool budget nt node_table with
+  match tables ops budget ~tc2 ~cands (plans g1 nt) nt with
   | exception Budget.Exhausted_budget ->
       (* a partial count is not an anytime answer: report zero, flag it
          inexact, and let the status say why. Never cache this. *)
       { count = 0; exact = false; status = Budget.status budget }
-  | root_table, _ ->
+  | tables ->
       let count =
-        match Hashtbl.find_opt root_table [||] with Some c -> c | None -> 0
+        match Hashtbl.find_opt tables.(nt.T.root) [||] with
+        | Some c -> c
+        | None -> 0
       in
-      { count; exact = not (Atomic.get sat); status = Budget.Complete }
+      { count; exact = not !sat; status = Budget.Complete }

@@ -10,15 +10,18 @@
     pattern edge. Work is O(Σ_bags |cands|^{bag size}) — polynomial for
     bounded width.
 
+    [solve] and [count] share one table pass: it fills every nice-tree
+    node's table bottom-up, on the caller's domain and budget, and the two
+    differ only in their row operations (whether an introduced node may
+    stay unmapped, the leaf row, the gain of a pair, the merge at a forget,
+    the join of two subtree rows).
+
     Anytime contract: one {!Phom_graph.Budget} tick per table row
-    processed. A tripped optimisation returns the empty mapping (always a
-    valid partial p-hom mapping) with the budget's status; a tripped count
-    returns [count = 0, exact = false] — a partial count is not a valid
-    answer, and callers must never cache it. With a pool of more than one
-    domain, the two subtrees of each join node run concurrently on forked
-    budgets; results are deterministic and identical to the sequential run
-    whenever the budget does not trip. A size-1 pool is the sequential
-    run, budget accounting included. *)
+    processed, so a step cap completes exactly when it covers the rows. A
+    tripped optimisation returns the empty mapping (always a valid partial
+    p-hom mapping) with the budget's status; a tripped count returns
+    [count = 0, exact = false] — a partial count is not a valid answer, and
+    callers must never cache it. *)
 
 type outcome = {
   mapping : (int * int) list;  (** sorted by pattern node, best found *)
@@ -34,7 +37,6 @@ type count_outcome = {
 
 val solve :
   ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
   g1:Phom_graph.Digraph.t ->
   tc2:Phom_graph.Bitmatrix.t ->
   cands:int array array ->
@@ -52,7 +54,6 @@ val solve :
 
 val count :
   ?budget:Phom_graph.Budget.t ->
-  ?pool:Phom_parallel.Pool.t ->
   g1:Phom_graph.Digraph.t ->
   tc2:Phom_graph.Bitmatrix.t ->
   cands:int array array ->

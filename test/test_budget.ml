@@ -535,6 +535,20 @@ let test_join_validation () =
     (Invalid_argument "Budget.join: not a forked token") (fun () ->
       Budget.join parent stranger)
 
+(* forks do not nest: a child's steps are leases it already drew, so
+   joining a grandchild into it would charge those steps to the family
+   ledger a second time *)
+let test_fork_of_child_refused () =
+  let parent = Budget.create ~steps:1000 () in
+  let child = Budget.fork parent in
+  Alcotest.check_raises "fork of a forked token"
+    (Invalid_argument "Budget.fork: a forked token cannot be forked") (fun () ->
+      ignore (Budget.fork child));
+  (* the refusal leaves the family intact *)
+  Alcotest.(check int) "child still drains the cap" 1000 (drain child);
+  Budget.join parent child;
+  Alcotest.(check int) "parent counts the family" 1000 (Budget.steps_used parent)
+
 let test_fork_across_domains () =
   (* the real thing: children ticked concurrently from spawned domains,
      total family consumption still exactly the parent's step cap *)
@@ -668,5 +682,6 @@ let suite =
         Alcotest.test_case "parallel fault grid stays valid" `Quick test_parallel_fault_grid;
         Alcotest.test_case "jobs 1 = jobs 4 under ample budget" `Quick
           test_jobs1_equals_jobs4_under_budget;
+        Alcotest.test_case "fork of a child refused" `Quick test_fork_of_child_refused;
       ] );
   ]

@@ -305,6 +305,105 @@ let test_in_process_matches_socket () =
         (List.nth sequential (List.length lines - 4));
       check_prefix "malformed line" "error " (List.nth sequential (List.length lines - 3)))
 
+(* ---- step caps do not depend on the pool ---- *)
+
+(* the DP runs on the request's own job, so a step cap answers the same on
+   a state made without a pool and on one made with a 2-domain pool, as
+   [phomd --jobs 2] makes it: complete exactly when the cap covers the
+   DP's rows. Seeded 9-node trees with at least two join nodes against
+   24-node DAGs; the closure and the matrix are warmed first, so the DP's
+   rows are all a capped request spends. Each probe takes a fresh xi: label
+   equality gives every xi in (0, 1] the same candidates, so the rows stay
+   put while the count cache keeps missing. *)
+let test_step_caps_ignore_pool () =
+  let module G = Phom_graph.Generators in
+  let module Td = Phom_treedecomp.Treedecomp in
+  let labels = [| "A"; "B"; "C" |] in
+  let joins g =
+    Array.fold_left
+      (fun n k -> if k = Td.Join then n + 1 else n)
+      0
+      (Td.nice (Td.compute g)).Td.nkind
+  in
+  let execute st line =
+    match Protocol.parse line with
+    | Ok req -> fst (Daemon.execute st req)
+    | Error e -> Alcotest.failf "%S does not parse: %s" line e
+  in
+  Pool.with_pool ~domains:2 (fun pool ->
+      for seed = 0 to 5 do
+        let rng = Random.State.make [| 0x5ca9; seed |] in
+        let lbl _ = labels.(Random.State.int rng (Array.length labels)) in
+        let rec pattern () =
+          let g = G.random_tree ~rng ~n:9 ~labels:lbl in
+          if joins g >= 2 then g else pattern ()
+        in
+        let tp = pattern () in
+        let dg = G.random_dag ~rng ~n:24 ~m:60 ~labels:lbl in
+        (* the instance every probe builds, at any xi in (0, 1] *)
+        let t =
+          Phom.Instance.make ~g1:tp ~g2:dg
+            ~mat:(Phom_sim.Simmat.of_label_equality tp dg)
+            ~xi:0.5 ()
+        in
+        let rows f =
+          let b = Budget.unlimited () in
+          ignore (f b);
+          Budget.steps_used b
+        in
+        let count_rows = rows (fun budget -> Phom.Dp.count ~budget t) in
+        let solve_rows =
+          rows (fun budget ->
+              Phom.Dp.solve ~budget ~objective:Phom.Exact.Cardinality t)
+        in
+        let paths =
+          List.map
+            (fun g ->
+              let path = Filename.temp_file "phomd_caps" ".phg" in
+              Phom_graph.Graph_io.save path g;
+              path)
+            [ tp; dg ]
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Sys.remove paths)
+          (fun () ->
+            let plain = Daemon.make_state differential_config
+            and pooled = Daemon.make_state ~pool differential_config in
+            List.iter
+              (fun st ->
+                List.iter2
+                  (fun name path ->
+                    check_prefix "load" "ok loaded"
+                      (execute st (Printf.sprintf "load graph %s %s" name path)))
+                  [ "tp"; "dg" ] paths;
+                check_prefix "warm-up" "ok count"
+                  (execute st "count tp dg --xi 0.45"))
+              [ plain; pooled ];
+            let xi = ref 0.5 in
+            List.iter
+              (fun (request, rows) ->
+                List.iter
+                  (fun cap ->
+                    xi := !xi +. 0.01;
+                    let line = Printf.sprintf "%s --xi %.2f --steps %d" request !xi cap in
+                    let where what =
+                      Printf.sprintf "seed %d, %d rows, %S: %s" seed rows line what
+                    in
+                    let reply = execute plain line in
+                    Alcotest.(check string) (where "pooled = plain") reply
+                      (execute pooled line);
+                    let status =
+                      if cap >= rows then "status=complete" else "status=exhausted(steps)"
+                    in
+                    if Helpers.count_substring ~needle:status reply <> 1 then
+                      Alcotest.failf "%s, got %S" (where status) reply)
+                  [ rows - 1; rows; rows + 1 ])
+              [
+                ("count tp dg", count_rows);
+                ("solve card tp dg --algorithm exact", solve_rows);
+              ])
+      done)
+
 (* ---- Conn: bounded reader and fault grid (socketpair, no daemon) ---- *)
 
 let with_pair f =
@@ -700,6 +799,8 @@ let suite =
           test_internal_error_opaque;
         Alcotest.test_case "in-process and socket replies agree" `Quick
           test_in_process_matches_socket;
+        Alcotest.test_case "step caps do not depend on the pool" `Quick
+          test_step_caps_ignore_pool;
         Alcotest.test_case "bounded reader" `Quick test_conn_bounded_reader;
         Alcotest.test_case "unterminated flood bounded" `Quick
           test_conn_unterminated_flood;

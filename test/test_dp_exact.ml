@@ -1,14 +1,12 @@
 (* The tree-decomposition DP against ground truth: brute-force enumeration
    over the candidate rows gives the exact count of total valid mappings
    and the exact (injective) optima on ~200 seeded small instances; the DP
-   must agree on every one. Plus anytime trip-grid coverage, pool
-   determinism, Api-level agreement with the B&B, and hand-checked counting
-   semantics. *)
+   must agree on every one. Plus anytime trip-grid coverage, Api-level
+   agreement with the B&B, and hand-checked counting semantics. *)
 
 open Helpers
 module G = Phom_graph.Generators
 module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 module Exact = Phom.Exact
 module Dp = Phom.Dp
 module Api = Phom.Api
@@ -215,70 +213,6 @@ let test_trip_grid () =
         true
         (c.Dp.count = 0 && not c.Dp.exact))
 
-let test_pool_determinism () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      for i = 0 to 9 do
-        let t, weights = instance_of_seed i in
-        let seq = Dp.solve ~objective:(Exact.Similarity weights) t in
-        let par = Dp.solve ~pool ~objective:(Exact.Similarity weights) t in
-        Alcotest.(check (list (pair int int)))
-          (Printf.sprintf "seed %d pooled mapping identical" i)
-          seq.Exact.mapping par.Exact.mapping;
-        let cs = Dp.count t and cp = Dp.count ~pool t in
-        Alcotest.(check int)
-          (Printf.sprintf "seed %d pooled count identical" i)
-          cs.Dp.count cp.Dp.count
-      done)
-
-(* a size-1 pool is the sequential path, budget accounting included: the
-   daemon hands one to every --jobs 1 request, so forking budgets on it
-   would turn answers that complete without a pool into Exhausted ones.
-   Tree patterns of 8-12 nodes give the decomposition join nodes; the caps
-   are the no-pool run's own step count (exact) and tripping ones below it *)
-let test_size1_pool_is_sequential () =
-  let solo = Pool.create ~domains:1 () in
-  for i = 0 to 11 do
-    let rng = Random.State.make [| 0x5010; i |] in
-    let lbl _ = labels.(Random.State.int rng (Array.length labels)) in
-    let g1 = G.random_tree ~rng ~n:(8 + Random.State.int rng 5) ~labels:lbl in
-    let g2 =
-      G.erdos_renyi ~rng ~n:14 ~m:(20 + Random.State.int rng 20) ~labels:lbl
-    in
-    let t = eq_instance g1 g2 in
-    let name what cap = Printf.sprintf "seed %d cap %d: %s" i cap what in
-    let counted ?pool cap =
-      let b = Budget.create ~steps:cap () in
-      let c = Dp.count ~budget:b ?pool t in
-      (c.Dp.count, c.Dp.exact, Budget.string_of_status c.Dp.status,
-       Budget.steps_used b)
-    in
-    let solved ?pool cap =
-      let b = Budget.create ~steps:cap () in
-      let o = Dp.solve ~budget:b ?pool ~objective:Exact.Cardinality t in
-      (o.Exact.mapping, Budget.string_of_status o.Exact.status,
-       Budget.steps_used b)
-    in
-    let _, _, _, count_steps = counted 1_000_000_000 in
-    let _, _, solve_steps = solved 1_000_000_000 in
-    let _, _, st, _ = counted count_steps in
-    Alcotest.(check string) (name "exact cap completes" count_steps) "complete" st;
-    List.iter
-      (fun cap ->
-        let c, e, st, s = counted cap and c', e', st', s' = counted ~pool:solo cap in
-        Alcotest.(check int) (name "count" cap) c c';
-        Alcotest.(check bool) (name "count exact" cap) e e';
-        Alcotest.(check string) (name "count status" cap) st st';
-        Alcotest.(check int) (name "count steps" cap) s s')
-      [ count_steps; count_steps - 1; count_steps / 2; count_steps / 5 ];
-    List.iter
-      (fun cap ->
-        let m, st, s = solved cap and m', st', s' = solved ~pool:solo cap in
-        Alcotest.(check (list (pair int int))) (name "mapping" cap) m m';
-        Alcotest.(check string) (name "solve status" cap) st st';
-        Alcotest.(check int) (name "solve steps" cap) s s')
-      [ solve_steps; solve_steps - 1; solve_steps / 2; solve_steps / 5 ]
-  done
-
 let problems = [ Api.CPH; Api.CPH11; Api.SPH; Api.SPH11 ]
 
 let test_api_agreement () =
@@ -370,9 +304,6 @@ let suite =
             `Slow (chunk lo hi))
       @ [
           Alcotest.test_case "anytime trip grid" `Quick test_trip_grid;
-          Alcotest.test_case "pool determinism" `Quick test_pool_determinism;
-          Alcotest.test_case "size-1 pool is the sequential path" `Quick
-            test_size1_pool_is_sequential;
           Alcotest.test_case "api agreement" `Slow test_api_agreement;
           Alcotest.test_case "count iff decide" `Slow test_count_vs_decide;
           Alcotest.test_case "hand-checked counts" `Quick test_hand_counts;

@@ -71,17 +71,6 @@ let test_nested_map () =
   in
   Alcotest.(check (array int)) "nested results" expected out
 
-let test_both () =
-  let p = Lazy.force pool in
-  let a, b = Pool.both p (fun () -> 6 * 7) (fun () -> "ok") in
-  Alcotest.(check int) "left" 42 a;
-  Alcotest.(check string) "right" "ok" b
-
-let test_both_exception () =
-  let p = Lazy.force pool in
-  Alcotest.check_raises "left failure wins" (Failure "left") (fun () ->
-      ignore (Pool.both p (fun () -> failwith "left") (fun () -> failwith "right")))
-
 let test_reuse_after_batches () =
   let p = Lazy.force pool in
   for round = 1 to 20 do
@@ -177,8 +166,6 @@ let suite =
         Alcotest.test_case "empty and singleton batches" `Quick test_map_empty_and_singleton;
         Alcotest.test_case "lowest-index exception wins" `Quick test_exception_lowest_index;
         Alcotest.test_case "nested map" `Quick test_nested_map;
-        Alcotest.test_case "both" `Quick test_both;
-        Alcotest.test_case "both: left exception wins" `Quick test_both_exception;
         Alcotest.test_case "reuse across batches" `Quick test_reuse_after_batches;
         Alcotest.test_case "shutdown degenerates to sequential" `Quick test_shutdown_degenerates;
       ] );

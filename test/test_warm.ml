@@ -326,6 +326,38 @@ let test_tripped_budget_floor () =
   Alcotest.(check bool) "some seeds survive repair" true (!seeded > 0);
   Alcotest.(check bool) "some seeds beat the tripped engine" true (!wins > 0)
 
+(* only an exhausted search reads the seed, so only it pays for the
+   repair: a complete warm solve leaves [phom_warm_seeds_total] alone, and
+   a tripped one counts the one non-empty seed it repaired *)
+let test_complete_solve_repairs_nothing () =
+  let seeds = Obs.counter "phom_warm_seeds_total" in
+  let repaired = ref 0 in
+  for seed = 0 to 29 do
+    let _, before, after = edited_pair seed in
+    List.iter
+      (fun problem ->
+        let where = Printf.sprintf "seed %d %s" seed (Api.problem_name problem) in
+        let seed_map = (Api.solve problem before).Api.mapping in
+        let n0 = Obs.counter_value seeds in
+        let r =
+          Api.solve_within ~budget:(Budget.unlimited ()) ~warm_start:seed_map
+            problem after
+        in
+        Alcotest.(check string) (where ^ ": complete") "complete"
+          (Budget.string_of_status r.Api.status);
+        Alcotest.(check int) (where ^ ": no repair") n0 (Obs.counter_value seeds);
+        if Warm.repair ~injective:(Api.injective problem) after seed_map <> [] then begin
+          incr repaired;
+          ignore
+            (Api.solve_within ~budget:(Budget.create ~steps:1 ())
+               ~warm_start:seed_map problem after);
+          Alcotest.(check int) (where ^ ": tripped, one repair") (n0 + 1)
+            (Obs.counter_value seeds)
+        end)
+      problems
+  done;
+  Alcotest.(check bool) "some seeds survive repair" true (!repaired > 0)
+
 (* the [key=value] field of a reply *)
 let field reply key =
   let prefix = key ^ "=" in
@@ -408,6 +440,8 @@ let suite =
           test_ample_budget_is_cold;
         Alcotest.test_case "one step: tripped, valid, never below the seed"
           `Quick test_tripped_budget_floor;
+        Alcotest.test_case "complete warm solve repairs nothing" `Quick
+          test_complete_solve_repairs_nothing;
         Alcotest.test_case "daemon: deledge then --steps 1 keeps the floor"
           `Quick test_daemon_floor;
       ] );
