@@ -70,6 +70,13 @@ let tree11x24 =
   Dp_bench.low_tw_instance ~seed:4 ~kind:`Tree ~n1:11 ~n2:24 ~m2:52 ~xi:0.5
     ~weighted:true
 
+(* the tree-decomposition DP on a series-parallel pattern: SPH on a
+   14-node SP pattern against a 24-node DAG, and the count of its total
+   mappings *)
+let sp14x24 =
+  Dp_bench.low_tw_instance ~seed:4 ~kind:`Sp ~n1:14 ~n2:24 ~m2:52 ~xi:0.5
+    ~weighted:true
+
 let sf_pair =
   let rng = rng () in
   let g1 = G.erdos_renyi ~rng ~n:60 ~m:150 ~labels:(fun i -> "n" ^ string_of_int (i mod 20)) in
@@ -117,6 +124,17 @@ let tests =
        Test.make ~name:"exact-bb/tree-11x24-sph11"
          (Staged.stage (fun () ->
               ignore (Phom.Exact.solve ~injective:true ~objective t))));
+      (let t, weights = sp14x24 in
+       let objective = Phom.Exact.Similarity (Option.get weights) in
+       Test.make ~name:"dp-solve/sp-14x24-sph"
+         (Staged.stage (fun () -> ignore (Phom.Dp.solve ~objective t))));
+      (* one count fills about half a millisecond of tables, too short for
+         a steady estimate; a sample times a batch of them *)
+      Test.make ~name:"dp-count/sp-14x24-x8"
+        (Staged.stage (fun () ->
+             for _ = 1 to 8 do
+               ignore (Phom.Dp.count (fst sp14x24))
+             done));
       Test.make ~name:"simulation/synthetic-m100"
         (Staged.stage (fun () ->
              ignore

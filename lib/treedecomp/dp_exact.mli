@@ -4,17 +4,28 @@
     The DP consumes raw materials rather than a [Phom.Instance.t] so this
     library can sit below [phom]: the pattern digraph, the data graph's
     (bounded) transitive closure as a bitmatrix, the per-pattern-node
-    candidate rows (already ξ-filtered), and a per-pair value function.
-    Tables are keyed by bag assignments; edge constraints are enforced at
-    introduce nodes, which a valid decomposition guarantees covers every
-    pattern edge. Work is O(Σ_bags |cands|^{bag size}) — polynomial for
-    bounded width.
+    candidate rows (already ξ-filtered, no data node twice in a row), and a
+    per-pair value function. A table row is a bag assignment; edge
+    constraints are enforced at introduce nodes, which a valid
+    decomposition guarantees covers every pattern edge. Work is
+    O(Σ_bags |cands|^{bag size}) — polynomial for bounded width.
 
     [solve] and [count] share one table pass: it fills every nice-tree
     node's table bottom-up, on the caller's domain and budget, and the two
     differ only in their row operations (whether an introduced node may
     stay unmapped, the leaf row, the gain of a pair, the merge at a forget,
-    the join of two subtree rows).
+    the join of two subtree rows), which read and write their own typed
+    value arrays by row id. A table is flat: its keys are fixed-width runs
+    of candidate positions in one [int] array, an open-addressing index
+    over them exists only while a forget merges into the table or a join
+    probes it, and each row records the child row(s) it came from, which
+    [solve]'s traceback follows down from the root.
+
+    Memory: a table's keys and values are released as soon as its parent
+    is built, so at any time the live rows are those of the node being
+    built, its children, and the left child of each join still waiting for
+    its right subtree. [count] keeps nothing else; [solve] also keeps one
+    [int] per row of every table for the traceback.
 
     Anytime contract: one {!Phom_graph.Budget} tick per table row
     processed, so a step cap completes exactly when it covers the rows. A
@@ -47,8 +58,11 @@ val solve :
     its candidates or stays unmapped (value 0); every pattern edge between
     mapped nodes must land in [tc2]. [pair_value v u >= 0.] is the gain of
     mapping pattern node [v] to data node [u] — [fun _ _ -> 1.] recovers
-    maximum cardinality. Ties break towards the lexicographically smallest
-    assignment, so the result is independent of table iteration order.
+    maximum cardinality. Ties break towards the assignment that comes
+    first when each pattern node's options are ordered "unmapped, then its
+    candidates in row order": a forget keeps, of two equal rows, the one
+    whose forgotten node comes first that way, so the witness does not
+    depend on the order rows are made in.
     Injectivity is deliberately out of scope (treewidth DP cannot track
     it); callers wanting 1-1 check the witness and fall back. *)
 

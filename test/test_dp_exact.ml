@@ -213,6 +213,367 @@ let test_trip_grid () =
         true
         (c.Dp.count = 0 && not c.Dp.exact))
 
+(* [Dp_exact]'s table pass before flat rows, kept as the reference: one
+   polymorphic [Hashtbl] per nice-tree node keyed by the bag assignment as
+   an [int array] of data nodes, one tick a row at the same places, and a
+   traceback that re-probes each forget's child table for the first
+   extension, unmapped then the candidates in row order, that reaches the
+   kept value. The flat pass must agree with it in mapping, value, count,
+   exactness, status and steps at every step cap. *)
+module Reference = struct
+  module T = Phom_treedecomp.Treedecomp
+  module Dpx = Phom_treedecomp.Dp_exact
+
+  type intro_plan = {
+    iv : int;
+    ipos : int;
+    self_loop : bool;
+    cons : (int * bool * bool) array;
+  }
+
+  type plan =
+    | P_leaf
+    | P_intro of intro_plan
+    | P_forget of { fpos : int; fv : int }
+    | P_join
+
+  let pos_of v bag =
+    let p = ref (-1) in
+    Array.iteri (fun i x -> if x = v then p := i) bag;
+    !p
+
+  let plans g1 (nt : T.nice) =
+    Array.init
+      (Array.length nt.T.nkind)
+      (fun i ->
+        match nt.T.nkind.(i) with
+        | T.Leaf -> P_leaf
+        | T.Join -> P_join
+        | T.Forget v ->
+            let cbag = nt.T.nbags.(nt.T.nchildren.(i).(0)) in
+            P_forget { fpos = pos_of v cbag; fv = v }
+        | T.Introduce v ->
+            let cbag = nt.T.nbags.(nt.T.nchildren.(i).(0)) in
+            let cons = ref [] in
+            Array.iteri
+              (fun j w ->
+                let fwd = D.has_edge g1 v w and bwd = D.has_edge g1 w v in
+                if fwd || bwd then cons := (j, fwd, bwd) :: !cons)
+              cbag;
+            P_intro
+              {
+                iv = v;
+                ipos = pos_of v nt.T.nbags.(i);
+                self_loop = D.has_edge g1 v v;
+                cons = Array.of_list (List.rev !cons);
+              })
+
+  let key_insert key pos u =
+    let n = Array.length key in
+    let out = Array.make (n + 1) u in
+    Array.blit key 0 out 0 pos;
+    Array.blit key pos out (pos + 1) (n - pos);
+    out
+
+  let key_remove key pos =
+    let n = Array.length key in
+    let out = Array.make (n - 1) 0 in
+    Array.blit key 0 out 0 pos;
+    Array.blit key (pos + 1) out pos (n - 1 - pos);
+    out
+
+  let compatible tc2 (p : intro_plan) key u =
+    ((not p.self_loop) || BM.get tc2 u u)
+    && Array.for_all
+         (fun (j, fwd, bwd) ->
+           let u' = key.(j) in
+           u' < 0
+           || (((not fwd) || BM.get tc2 u u') && ((not bwd) || BM.get tc2 u' u)))
+         p.cons
+
+  type 'a ops = {
+    unmapped : bool;
+    leaf : 'a;
+    gain : int -> int -> 'a -> 'a;
+    merge : 'a -> 'a -> 'a;
+    join : int array -> int array -> 'a -> 'a -> 'a;
+  }
+
+  let tables ops budget ~tc2 ~cands np (nt : T.nice) =
+    let tables = Array.make (Array.length np) (Hashtbl.create 0) in
+    Array.iteri
+      (fun node plan ->
+        let row () = Budget.tick_exn budget in
+        let child k = tables.(nt.T.nchildren.(node).(k)) in
+        let t =
+          match plan with
+          | P_leaf ->
+              let t = Hashtbl.create 1 in
+              row ();
+              Hashtbl.replace t [||] ops.leaf;
+              t
+          | P_intro p ->
+              let ct = child 0 in
+              let t = Hashtbl.create (2 * (Hashtbl.length ct + 1)) in
+              let emit key x u =
+                row ();
+                Hashtbl.replace t (key_insert key p.ipos u) (ops.gain p.iv u x)
+              in
+              Hashtbl.iter
+                (fun key x ->
+                  if ops.unmapped then emit key x (-1);
+                  Array.iter
+                    (fun u -> if compatible tc2 p key u then emit key x u)
+                    cands.(p.iv))
+                ct;
+              t
+          | P_forget { fpos; _ } ->
+              let ct = child 0 in
+              let t = Hashtbl.create (Hashtbl.length ct + 1) in
+              Hashtbl.iter
+                (fun key x ->
+                  row ();
+                  let key' = key_remove key fpos in
+                  match Hashtbl.find_opt t key' with
+                  | None -> Hashtbl.replace t key' x
+                  | Some kept ->
+                      let m = ops.merge kept x in
+                      if m != kept then Hashtbl.replace t key' m)
+                ct;
+              t
+          | P_join ->
+              let t1 = child 0 and t2 = child 1 in
+              let bag = nt.T.nbags.(node) in
+              let t = Hashtbl.create (Hashtbl.length t1 + 1) in
+              Hashtbl.iter
+                (fun key x1 ->
+                  row ();
+                  match Hashtbl.find_opt t2 key with
+                  | None -> ()
+                  | Some x2 -> Hashtbl.replace t key (ops.join bag key x1 x2))
+                t1;
+              t
+        in
+        tables.(node) <- t)
+      np;
+    tables
+
+  let solve ~budget ~g1 ~tc2 ~cands ~pair_value (nt : T.nice) =
+    let np = plans g1 nt in
+    let ops =
+      {
+        unmapped = true;
+        leaf = 0.;
+        gain = (fun v u x -> x +. if u < 0 then 0. else pair_value v u);
+        merge = (fun kept x -> if kept >= x then kept else x);
+        join =
+          (fun bag key x1 x2 ->
+            let bagv = ref 0. in
+            Array.iteri
+              (fun j u -> if u >= 0 then bagv := !bagv +. pair_value bag.(j) u)
+              key;
+            x1 +. x2 -. !bagv);
+      }
+    in
+    match tables ops budget ~tc2 ~cands np nt with
+    | exception Budget.Exhausted_budget ->
+        { Dpx.mapping = []; value = 0.; status = Budget.status budget }
+    | tables ->
+        let value = Hashtbl.find tables.(nt.T.root) [||] in
+        let chosen = Hashtbl.create 16 in
+        let rec walk node key =
+          match np.(node) with
+          | P_leaf -> ()
+          | P_intro p ->
+              let u = key.(p.ipos) in
+              if u >= 0 then Hashtbl.replace chosen p.iv u;
+              walk nt.T.nchildren.(node).(0) (key_remove key p.ipos)
+          | P_forget { fpos; fv } ->
+              let target = Hashtbl.find tables.(node) key in
+              let ct = tables.(nt.T.nchildren.(node).(0)) in
+              let hit = ref (-2) in
+              let try_ext u =
+                if !hit = -2 then
+                  match Hashtbl.find_opt ct (key_insert key fpos u) with
+                  | Some v when v = target -> hit := u
+                  | _ -> ()
+              in
+              try_ext (-1);
+              Array.iter try_ext cands.(fv);
+              assert (!hit > -2);
+              walk nt.T.nchildren.(node).(0) (key_insert key fpos !hit)
+          | P_join ->
+              walk nt.T.nchildren.(node).(0) key;
+              walk nt.T.nchildren.(node).(1) key
+        in
+        walk nt.T.root [||];
+        let mapping =
+          List.sort compare (Hashtbl.fold (fun v u acc -> (v, u) :: acc) chosen [])
+        in
+        { Dpx.mapping; value; status = Budget.Complete }
+
+  let add_sat sat a b =
+    if a > max_int - b then begin
+      sat := true;
+      max_int
+    end
+    else a + b
+
+  let mul_sat sat a b =
+    if a > 0 && b > max_int / a then begin
+      sat := true;
+      max_int
+    end
+    else a * b
+
+  let count ~budget ~g1 ~tc2 ~cands (nt : T.nice) =
+    let sat = ref false in
+    let ops =
+      {
+        unmapped = false;
+        leaf = 1;
+        gain = (fun _ _ c -> c);
+        merge = add_sat sat;
+        join = (fun _ _ c1 c2 -> mul_sat sat c1 c2);
+      }
+    in
+    match tables ops budget ~tc2 ~cands (plans g1 nt) nt with
+    | exception Budget.Exhausted_budget ->
+        { Dpx.count = 0; exact = false; status = Budget.status budget }
+    | tables ->
+        let count =
+          match Hashtbl.find_opt tables.(nt.T.root) [||] with
+          | Some c -> c
+          | None -> 0
+        in
+        { Dpx.count; exact = not !sat; status = Budget.Complete }
+end
+
+(* seeded instances for the reference differential, on graded
+   similarities so candidate rows are not in data-node order:
+   join-heavy forests, series-parallel and partial 2-/3-tree patterns,
+   a ring with a self-loop and 2-cycles against a cyclic graph, and
+   exact-tier's 24-node DAGs; [`Count_only] marks a width-5 pattern, whose
+   6-position bags only [count] is asked to fill *)
+let reference_instance i =
+  let st = Random.State.make [| 0x7ab; i |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let lbl _ = labels.(Random.State.int st (Array.length labels)) in
+  let dag n m = G.random_dag ~rng:st ~n ~m:(min m (n * (n - 1) / 2)) ~labels:lbl in
+  let forest () =
+    (* two or three trees side by side: empty-bag joins at the root, and
+       bushy trees join inside *)
+    let parts =
+      List.init (int 2 3) (fun _ -> G.random_tree ~rng:st ~n:(int 1 4) ~labels:lbl)
+    in
+    let labels =
+      Array.concat (List.map (fun g -> Array.init (D.n g) (D.label g)) parts)
+    in
+    let _, edges =
+      List.fold_left
+        (fun (base, acc) g ->
+          let shifted = List.map (fun (a, b) -> (base + a, base + b)) (D.edges g) in
+          (base + D.n g, shifted @ acc))
+        (0, []) parts
+    in
+    D.make ~labels ~edges
+  in
+  let g1, g2, calls =
+    match i mod 6 with
+    | 0 -> (forest (), dag (int 6 10) (int 8 16), `Both)
+    | 1 ->
+        ( G.series_parallel ~rng:st ~n:(int 4 7) ~labels:lbl,
+          dag (int 6 10) (int 8 18),
+          `Both )
+    | 2 ->
+        ( G.random_ktree ~rng:st ~n:(int 4 6) ~k:(int 2 3) ~keep:0.8 ~labels:lbl (),
+          G.erdos_renyi ~rng:st ~n:(int 5 8) ~m:(int 6 14) ~labels:lbl,
+          `Both )
+    | 3 ->
+        let n1 = int 3 4 in
+        let ring = List.init n1 (fun k -> (k, (k + 1) mod n1)) in
+        ( D.make ~labels:(Array.init n1 lbl) ~edges:((0, 0) :: (1, 0) :: ring),
+          G.erdos_renyi ~rng:st ~n:(int 5 8) ~m:(int 8 16) ~labels:lbl,
+          `Both )
+    | 4 ->
+        ( (if Random.State.bool st then G.random_tree ~rng:st ~n:(int 5 7) ~labels:lbl
+           else G.series_parallel ~rng:st ~n:(int 5 6) ~labels:lbl),
+          G.random_dag ~rng:st ~n:24 ~m:52 ~labels:lbl,
+          `Both )
+    | _ ->
+        ( G.random_ktree ~rng:st ~n:(int 6 7) ~k:5 ~labels:lbl (),
+          dag (int 6 8) (int 10 20),
+          `Count_only )
+  in
+  let mat =
+    Simmat.of_fun ~n1:(D.n g1) ~n2:(D.n g2) (fun v u ->
+        let base = if D.label g1 v = D.label g2 u then 0.55 else 0.25 in
+        Float.min 1. (base +. (0.15 *. float_of_int (Random.State.int st 4))))
+  in
+  let weights = Array.init (D.n g1) (fun v -> 0.5 +. (float_of_int (v mod 4) /. 4.)) in
+  (Instance.make ~g1 ~g2 ~mat ~xi:0.5 (), weights, calls)
+
+let test_reference () =
+  let module Dpx = Phom_treedecomp.Dp_exact in
+  let module Td = Phom_treedecomp.Treedecomp in
+  let wide = ref 0 in
+  for i = 0 to 71 do
+    let t, weights, calls = reference_instance i in
+    let g1 = t.Instance.g1 and tc2 = t.Instance.tc2 in
+    let cands = Instance.candidates t in
+    let nt = Td.nice (Td.compute g1) in
+    if Array.exists (fun b -> Array.length b >= 6) nt.Td.nbags then incr wide;
+    (* [run cap f]: [f]'s answer and the steps it used, on a fresh token *)
+    let run cap f =
+      let budget =
+        match cap with None -> Budget.unlimited () | Some s -> Budget.create ~steps:s ()
+      in
+      let r = f budget in
+      (r, Budget.steps_used budget)
+    in
+    (* values compare by their bits ([%h]) through [show] *)
+    let agree what show flat reference =
+      let rows = snd (run None reference) in
+      List.iter
+        (fun cap ->
+          let a = show (run cap flat) and b = show (run cap reference) in
+          if a <> b then
+            Alcotest.failf "seed %d %s at cap %s: %s, reference %s" i what
+              (match cap with None -> "none" | Some s -> string_of_int s)
+              a b)
+        ([ None; Some 0; Some 1; Some 10; Some 100 ]
+        @ [ Some (rows - 1); Some rows; Some (rows + 1) ])
+    in
+    let status = function
+      | Budget.Complete -> "complete"
+      | Budget.Exhausted Budget.Steps -> "exhausted (steps)"
+      | Budget.Exhausted Budget.Deadline -> "exhausted (deadline)"
+      | Budget.Exhausted Budget.Cancelled -> "exhausted (cancelled)"
+    in
+    let show_solve ((o : Dpx.outcome), steps) =
+      Printf.sprintf "%s value %h steps %d %s"
+        (String.concat " "
+           (List.map (fun (v, u) -> Printf.sprintf "%d>%d" v u) o.Dpx.mapping))
+        o.Dpx.value steps (status o.Dpx.status)
+    in
+    let solve pair_value =
+      agree "solve" show_solve
+        (fun budget -> Dpx.solve ~budget ~g1 ~tc2 ~cands ~pair_value nt)
+        (fun budget -> Reference.solve ~budget ~g1 ~tc2 ~cands ~pair_value nt)
+    in
+    if calls = `Both then begin
+      solve (fun _ _ -> 1.);
+      solve (fun v u -> weights.(v) *. Simmat.get t.Instance.mat v u)
+    end;
+    agree "count"
+      (fun ((c : Dpx.count_outcome), steps) ->
+        Printf.sprintf "count %d exact %b steps %d %s" c.Dpx.count c.Dpx.exact steps
+          (status c.Dpx.status))
+      (fun budget -> Dpx.count ~budget ~g1 ~tc2 ~cands nt)
+      (fun budget -> Reference.count ~budget ~g1 ~tc2 ~cands nt)
+  done;
+  Alcotest.(check bool) "some bags have 6 positions" true (!wide > 0)
+
 let problems = [ Api.CPH; Api.CPH11; Api.SPH; Api.SPH11 ]
 
 let test_api_agreement () =
@@ -308,5 +669,7 @@ let suite =
           Alcotest.test_case "count iff decide" `Slow test_count_vs_decide;
           Alcotest.test_case "hand-checked counts" `Quick test_hand_counts;
           Alcotest.test_case "saturating count" `Quick test_saturation;
+          Alcotest.test_case "flat tables = hashtable reference" `Quick
+            test_reference;
         ] );
   ]
