@@ -83,9 +83,9 @@ fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
 # the repository benchmark's oracle against a real phomd: every workload
-# for a short window plus one traced run; fails unless every answer checks
-# out ("correct": true, "failed": 0) — the same flow as the CI
-# phombench-smoke job
+# for a short window plus traced warm-serve and edit-stream runs; fails
+# unless every answer checks out ("correct": true, "failed": 0) — the same
+# flow as the CI phombench-smoke job
 phombench-smoke:
 	sh scripts/phombench_smoke.sh
 

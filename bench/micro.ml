@@ -23,35 +23,50 @@ let pa3000 =
 
 let pattern20 = fst (G.paper_pattern ~rng:(rng ()) ~m:20)
 
-(* a catalog holding a 3000-node path and its cached full closure. The row
-   deletes the path's last edge and adds it back through [Catalog.edit]:
-   each edit re-signs the graph and carries the closure, and the delete
-   changes every row of it, the worst case for an edit. Lazy, so the other
-   bench commands do not write its temporary file *)
-let path3000_catalog =
-  lazy
-  (let n = 3000 in
-   let g =
-     D.make
-       ~labels:(Array.init n (fun i -> "n" ^ string_of_int i))
-       ~edges:(List.init (n - 1) (fun i -> (i, i + 1)))
-   in
-   let file = Filename.temp_file "micro_path" ".phg" in
-   Phom_graph.Graph_io.save file g;
-   let c = Phom_server.Catalog.create () in
-   let loaded = Phom_server.Catalog.load_graph c ~name:"path" ~path:file in
-   Sys.remove file;
-   (match loaded with Ok _ -> () | Error m -> failwith m);
-   ignore (Phom_server.Catalog.closure c ~name:"path" ~hops:None);
-   c)
+(* a catalog holding [g] as "g" with its full closure cached *)
+let catalog_with_closure g =
+  let file = Filename.temp_file "micro_graph" ".phg" in
+  Phom_graph.Graph_io.save file g;
+  let c = Phom_server.Catalog.create () in
+  let loaded = Phom_server.Catalog.load_graph c ~name:"g" ~path:file in
+  Sys.remove file;
+  (match loaded with Ok _ -> () | Error m -> failwith m);
+  ignore (Phom_server.Catalog.closure c ~name:"g" ~hops:None);
+  c
 
-let edit_last_edge op =
-  match
-    Phom_server.Catalog.edit (Lazy.force path3000_catalog) ~name:"path" ~op
-      ~v:2998 ~w:2999
-  with
+let edit c op (v, w) =
+  match Phom_server.Catalog.edit c ~name:"g" ~op ~v ~w with
   | Ok r -> assert (r.Phom_server.Catalog.closures = 1)
   | Error m -> failwith m
+
+(* a 3000-node path and its cached full closure. The row deletes the
+   path's last edge and adds it back through [Catalog.edit]: each edit
+   re-signs the graph and carries the closure, and the delete changes
+   every row of it, so both edits rebuild it: the worst case for an edit.
+   Lazy, so the other bench commands do not write its temporary file *)
+let path3000_catalog =
+  lazy
+    (let n = 3000 in
+     catalog_with_closure
+       (D.make
+          ~labels:(Array.init n (fun i -> "n" ^ string_of_int i))
+          ~edges:(List.init (n - 1) (fun i -> (i, i + 1)))))
+
+(* [pa3000] and its cached full closure, with an absent edge v->w where v
+   already reaches w: adding it and deleting it again changes no
+   reachability, so both edits re-sign the graph and carry the closure as
+   it is, the cheapest edit of a cache-churn-sized graph *)
+let pa3000_toggle =
+  lazy
+    (let c = catalog_with_closure pa3000 in
+     let tc = TC.compute pa3000 in
+     let rec find v w =
+       if w = D.n pa3000 then find (v + 1) 0
+       else if v <> w && Phom_graph.Bitmatrix.get tc v w && not (D.has_edge pa3000 v w)
+       then (v, w)
+       else find v (w + 1)
+     in
+     (c, find 0 0))
 
 let synth_instance m =
   let rng = rng () in
@@ -97,8 +112,14 @@ let tests =
         (Staged.stage (fun () -> ignore (TC.compute pa3000)));
       Test.make ~name:"catalog-edit/path-3000-del-add"
         (Staged.stage (fun () ->
-             edit_last_edge `Del;
-             edit_last_edge `Add));
+             let c = Lazy.force path3000_catalog in
+             edit c `Del (2998, 2999);
+             edit c `Add (2998, 2999)));
+      Test.make ~name:"catalog-edit/pa-3000-toggle"
+        (Staged.stage (fun () ->
+             let c, e = Lazy.force pa3000_toggle in
+             edit c `Add e;
+             edit c `Del e));
       Test.make ~name:"label-equality/20x3000"
         (Staged.stage (fun () -> ignore (Phom_sim.Simmat.of_label_equality pattern20 pa3000)));
       Test.make ~name:"scc/er-300-1200"
@@ -158,6 +179,7 @@ let run () =
   Util.heading "Micro-benchmarks (bechamel, ns per run)";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   ignore (Lazy.force path3000_catalog);
+  ignore (Lazy.force pa3000_toggle);
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

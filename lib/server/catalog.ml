@@ -44,7 +44,14 @@ type gentry = {
   comp_crc : string array;  (** node -> its weak component's content CRC *)
 }
 
-let analyze g =
+(* The CRCs are of canonical text that is fed to {!Persist}'s streaming
+   CRC and never built: per component, [n <v> <label>\n] for each of its
+   nodes in id order, then [e <u> <v>\n] for each of its edges in
+   [iter_edges] order; [gsig] over the [<rep>:<crc>] pairs in
+   representative order, joined by [;]; [lsig] over the labels, each
+   followed by a NUL. An edit passes the old [lsig] along. *)
+let analyze ?lsig g =
+  let open Persist in
   let n = D.n g in
   let comps = Phom_graph.Components.compute g in
   let reps = Array.make comps.Phom_graph.Components.count max_int in
@@ -52,34 +59,34 @@ let analyze g =
   for v = 0 to n - 1 do
     if v < reps.(comp_of.(v)) then reps.(comp_of.(v)) <- v
   done;
-  let bufs =
-    Array.init comps.Phom_graph.Components.count (fun _ -> Buffer.create 64)
-  in
+  let st = Array.make (Array.length reps) crc_init in
+  let line c tag a = crc_int (crc_byte (crc_byte c tag) ' ') a in
   for v = 0 to n - 1 do
-    Buffer.add_string bufs.(comp_of.(v))
-      (Printf.sprintf "n %d %s\n" v (D.label g v))
+    let k = comp_of.(v) in
+    st.(k) <- crc_byte (crc_string (crc_byte (line st.(k) 'n' v) ' ') (D.label g v)) '\n'
   done;
   D.iter_edges
     (fun u v ->
-      Buffer.add_string bufs.(comp_of.(u)) (Printf.sprintf "e %d %d\n" u v))
+      let k = comp_of.(u) in
+      st.(k) <- crc_byte (crc_int (crc_byte (line st.(k) 'e' u) ' ') v) '\n')
     g;
-  let crcs = Array.map (fun b -> Persist.crc32_hex (Buffer.contents b)) bufs in
+  let crcs = Array.map crc_hex st in
   let order = Array.init (Array.length crcs) Fun.id in
-  Array.sort (fun a b -> compare reps.(a) reps.(b)) order;
-  let summary =
-    String.concat ";"
-      (Array.to_list
-         (Array.map (fun c -> Printf.sprintf "%d:%s" reps.(c) crcs.(c)) order))
-  in
-  let lbuf = Buffer.create (16 * n) in
-  for v = 0 to n - 1 do
-    Buffer.add_string lbuf (D.label g v);
-    Buffer.add_char lbuf '\x00'
-  done;
+  Array.sort (fun a b -> Int.compare reps.(a) reps.(b)) order;
+  let summary = ref crc_init in
+  Array.iteri
+    (fun i k ->
+      let c = if i > 0 then crc_byte !summary ';' else !summary in
+      summary := crc_string (crc_byte (crc_int c reps.(k)) ':') crcs.(k))
+    order;
+  let label_crc c l = crc_byte (crc_string c l) '\x00' in
   {
     g;
-    gsig = Persist.crc32_hex summary;
-    lsig = Persist.crc32_hex (Buffer.contents lbuf);
+    gsig = crc_hex !summary;
+    lsig =
+      (match lsig with
+      | Some s -> s
+      | None -> crc_hex (Array.fold_left label_crc crc_init (D.labels g)));
     rep = Array.init n (fun v -> reps.(comp_of.(v)));
     comp_crc = Array.init n (fun v -> crcs.(comp_of.(v)));
   }
@@ -186,7 +193,9 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let set_on_event t f = t.on_event <- f
-let emit t e = match t.on_event with Some f -> f e | None -> ()
+(* the event is built only when a journal listens: a load's carries a
+   checksum of the whole graph *)
+let emit t e = match t.on_event with Some f -> f (e ()) | None -> ()
 let generation t = locked t (fun () -> t.gen)
 
 let valid_name name =
@@ -239,7 +248,7 @@ let load_graph t ~name ~path =
       (fun () -> Phom_graph.Graph_io.load ~max_bytes:t.max_graph_bytes path)
   with
   | Ok (`Fresh g) ->
-      emit t (Journal.Load_graph { name; path; crc = graph_crc g });
+      emit t (fun () -> Journal.Load_graph { name; path; crc = graph_crc g });
       Ok g
   (* same-content reload: state unchanged, so no journal event *)
   | Ok (`Same g) -> Ok g
@@ -248,17 +257,20 @@ let load_graph t ~name ~path =
 let load_mat t ~name ~path =
   match
     register t ~name
-      ~what:(fun m -> Mat { m; crc = mat_crc m })
-      ~same:(fun old m ->
+      ~what:(fun (m, crc) -> Mat { m; crc })
+      ~same:(fun old (_, crc) ->
         match old with
-        | Mat o when o.crc = mat_crc m -> Some o.m
+        | Mat o when o.crc = crc -> Some (o.m, crc)
         | _ -> None)
-      (fun () -> Simmat.load ~max_bytes:t.max_mat_bytes path)
+      (fun () ->
+        Result.map
+          (fun m -> (m, mat_crc m))
+          (Simmat.load ~max_bytes:t.max_mat_bytes path))
   with
-  | Ok (`Fresh m) ->
-      emit t (Journal.Load_mat { name; path; crc = mat_crc m });
+  | Ok (`Fresh (m, crc)) ->
+      emit t (fun () -> Journal.Load_mat { name; path; crc });
       Ok m
-  | Ok (`Same m) -> Ok m
+  | Ok (`Same (m, _)) -> Ok m
   | Error _ as e -> e
 
 let derived_from name = function
@@ -284,7 +296,7 @@ let unload t name =
         end
         else Error (Printf.sprintf "name %s is not loaded" name))
   in
-  (match result with Ok _ -> emit t (Journal.Unload name) | Error _ -> ());
+  (match result with Ok _ -> emit t (fun () -> Journal.Unload name) | Error _ -> ());
   result
 
 (* ---- pinned snapshots ----
@@ -408,7 +420,7 @@ let put_artifact t ~gen0 ~pins key art =
   locked t (fun () ->
       if t.gen = gen0 && List.for_all (pin_live_unlocked t) pins then begin
         Lru.put t.cache key art;
-        emit t (Journal.Artifact (token_of_key key))
+        emit t (fun () -> Journal.Artifact (token_of_key key))
       end)
 
 let list t =
@@ -645,19 +657,28 @@ type edit_result = {
 let op_name = function `Add -> "add" | `Del -> "del"
 
 (* move every cached closure of [name] from the old signature to the new
-   one, recomputed on the edited graph. Runs under the catalog lock, so no
-   unload can interleave; the cache insertions go straight to the Lru (the
-   journal event for the edit subsumes them — replay re-applies the edit
-   and re-maintains). *)
-let maintain_closures t ~name ~old_sig ~after =
+   one. A full closure G⁺ moves as it is when the edit cannot change it:
+   an added v→w changes G⁺ iff v did not reach w, a deleted one iff v no
+   longer reaches w by a non-empty path (any path through the edge can
+   take the other v→⁺w path instead). Hop-bounded closures count path
+   lengths, which an edit can change without changing reachability, so
+   they are recomputed, as is a full closure the edit changes. Runs under
+   the catalog lock, so no unload can interleave; the cache insertions go
+   straight to the Lru (the journal event for the edit subsumes them —
+   replay re-applies the edit and re-maintains). *)
+let maintain_closures t ~name ~old_sig ~after ~op ~v ~w =
+  let reaches = lazy Phom_graph.(Bitset.mem (Traversal.reachable_nonempty after.g v) w) in
+  let unchanged m = match op with `Add -> BM.get m v w | `Del -> Lazy.force reaches in
   let moved = ref 0 in
   List.iter
     (fun (k, art) ->
       match (k, art) with
-      | K_closure (n, s, hops), A_closure _ when n = name && s = old_sig ->
+      | K_closure (n, s, hops), A_closure m when n = name && s = old_sig ->
           let m =
-            Obs.span "closure_edit" (fun () ->
-                Phom_graph.Bounded_closure.relation ?hops after.g)
+            if hops = None && unchanged m then m
+            else
+              Obs.span "closure_edit" (fun () ->
+                  Phom_graph.Bounded_closure.relation ?hops after.g)
           in
           ignore (Lru.remove_if t.cache (fun k' -> k' = k));
           Lru.put t.cache (K_closure (n, after.gsig, hops)) (A_closure m);
@@ -703,7 +724,7 @@ let edit ?expect_crc t ~name ~op ~v ~w =
                 | `Add -> D.add_edge ge.g v w
                 | `Del -> D.remove_edge ge.g v w
               in
-              let ge' = analyze g' in
+              let ge' = analyze ~lsig:ge.lsig g' in
               match expect_crc with
               | Some c when c <> ge'.gsig ->
                   (* the caller pinned a target state and this edit does
@@ -714,7 +735,8 @@ let edit ?expect_crc t ~name ~op ~v ~w =
                        ge'.gsig c)
               | _ ->
                   let closures =
-                    maintain_closures t ~name ~old_sig:ge.gsig ~after:ge'
+                    maintain_closures t ~name ~old_sig:ge.gsig ~after:ge' ~op
+                      ~v ~w
                   in
                   Hashtbl.replace t.entries name (Graph ge');
                   Ok
@@ -732,7 +754,7 @@ let edit ?expect_crc t ~name ~op ~v ~w =
   match result with
   | Error _ as e -> e
   | Ok (r, ev) ->
-      Option.iter (emit t) ev;
+      Option.iter (fun e -> emit t (fun () -> e)) ev;
       Ok r
 
 (* ---- the warm-start solution store ---- *)

@@ -102,10 +102,13 @@ val edit :
   (edit_result, string) result
 (** Apply one edge edit to the loaded graph [name], in place (the catalog
     entry is replaced; other snapshots of the old value stay valid). The
-    graph's signatures are recomputed, and every cached closure of [name]
-    is recomputed on the edited graph by
-    {!Phom_graph.Bounded_closure.relation} and re-keyed under the new
-    signature, so a pin of the edited graph hits its closure.
+    graph's signature is recomputed in one pass (the label signature is
+    carried), and every cached closure of [name] is re-keyed under the new
+    signature, so a pin of the edited graph hits its closure. A full
+    closure the edit cannot change (an added v→w where v already reached
+    w, a deleted one where v still reaches w) is carried as it is; the
+    others are recomputed on the edited graph by
+    {!Phom_graph.Bounded_closure.relation}, under the catalog lock.
 
     Adding an edge that is already present, deleting one that is absent,
     or naming an endpoint out of range is an [Error] and changes nothing.

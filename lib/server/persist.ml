@@ -14,34 +14,46 @@
    caller decides what quarantine means; this module only promises that no
    corrupt payload ever reaches it. *)
 
-(* ---- CRC-32 (IEEE 802.3, the zlib polynomial) ---- *)
+(* ---- CRC-32 (IEEE 802.3, the zlib polynomial) ----
+
+   The running register is a native int holding the 32 bits, threaded by
+   value: each caller owns its own, so the journal, snapshots and the
+   catalog's signatures checksum on different domains with nothing shared
+   but the table, which is built at module initialisation and only read. *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+type crc = int
 
-let crc32_hex s = Printf.sprintf "%08lx" (crc32 s)
+let crc_init = 0xFFFFFFFF
+
+let crc_byte c ch =
+  Array.unsafe_get crc_table ((c lxor Char.code ch) land 0xFF) lxor (c lsr 8)
+
+let crc_string c s =
+  let c = ref c in
+  for i = 0 to String.length s - 1 do
+    c := crc_byte !c (String.unsafe_get s i)
+  done;
+  !c
+
+let rec crc_digits c n =
+  let c = if n >= 10 then crc_digits c (n / 10) else c in
+  crc_byte c (Char.unsafe_chr (48 + (n mod 10)))
+
+let crc_int c n =
+  if n < 0 then invalid_arg "Persist.crc_int: negative";
+  crc_digits c n
+
+let crc_hex c = Printf.sprintf "%08x" (c lxor 0xFFFFFFFF)
+let crc32 s = Int32.of_int (crc_string crc_init s lxor 0xFFFFFFFF)
+let crc32_hex s = crc_hex (crc_string crc_init s)
 
 (* ---- low-level file plumbing (all writes ride the fault seam) ---- *)
 

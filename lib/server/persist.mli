@@ -30,6 +30,27 @@ val crc32_hex : string -> string
 (** Eight lowercase hex digits — the checksum form used on disk and in
     journal lines. *)
 
+(** {2 Streaming}
+
+    The same CRC-32 over bytes fed piece by piece, so a caller can
+    checksum text it never builds: [crc_hex (crc_string crc_init s)] is
+    [crc32_hex s], however [s] is split. A [crc] is an immutable native
+    int that each caller threads itself; nothing is shared but a
+    read-only table, so any number of domains can checksum at once. *)
+
+type crc [@@immediate]
+
+val crc_init : crc
+val crc_byte : crc -> char -> crc
+val crc_string : crc -> string -> crc
+
+val crc_int : crc -> int -> crc
+(** Feeds a non-negative int's decimal digits, as [string_of_int] prints
+    them. @raise Invalid_argument on a negative int. *)
+
+val crc_hex : crc -> string
+(** The checksum of everything fed so far, in {!crc32_hex}'s form. *)
+
 type record = { kind : string; name : string; payload : string }
 (** [kind] and [name] are single tokens (no whitespace or control bytes);
     [payload] is arbitrary bytes. *)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # The repository benchmark (phombench) as an answer check against a real
 # phomd, not a measurement: every workload for a short window, plus one
-# traced warm-serve run. Each run's replies go through the benchmark's own
-# oracle; the smoke fails unless every run's last stdout line reports
+# traced warm-serve run and one traced edit-stream run (a durable daemon's
+# edits under the tracer). Each run's replies go through the benchmark's
+# own oracle; the smoke fails unless every run's last stdout line reports
 # "correct": true and "failed": 0.
 #
 #   sh scripts/phombench_smoke.sh
@@ -33,4 +34,5 @@ run --workload cache-churn --seconds 15 --trace 0
 run --workload exact-tier --seconds 4 --trace 0
 run --workload edit-stream --seconds 4 --trace 0
 run --workload warm-serve --seconds 4 --trace 1
-echo "phombench-smoke: OK (four workloads and a traced run, every answer checked)"
+run --workload edit-stream --seconds 4 --trace 1
+echo "phombench-smoke: OK (four workloads and two traced runs, every answer checked)"

@@ -504,6 +504,60 @@ let test_edit_carries_every_closure () =
             hops)
     [ (`Add, "addedge"); (`Del, "deledge") ]
 
+(* a cached full closure crosses an edit one of two ways: as the same
+   matrix, re-keyed, when the edit cannot change G⁺, or rebuilt when it
+   does. Seeded scripts over the closure scripts' families must take both
+   ways, and take each exactly when it is right: the matrix is carried as
+   it is iff it already equals the edited graph's closure, and whatever
+   crosses equals [Bounded_closure.relation] of the edited graph. *)
+let test_full_closure_branches () =
+  let rekeyed = ref 0 and rebuilt = ref 0 in
+  for seed = 0 to 99 do
+    let rng = Random.State.make [| 0xB4A; seed |] in
+    let n = 4 + Random.State.int rng 10 in
+    let g =
+      ref
+        (match seed mod 4 with
+        | 3 -> path (n + Random.State.int rng 20)
+        | family -> gen_graph rng ~family ~n)
+    in
+    let c = Catalog.create () in
+    let file = save_tmp !g in
+    (match Catalog.load_graph c ~name:"g" ~path:file with
+    | Ok _ -> ()
+    | Error m -> Alcotest.fail m);
+    rm file;
+    let full () =
+      match Catalog.closure c ~name:"g" ~hops:None with
+      | Ok (m, _) -> m
+      | Error m -> Alcotest.fail m
+    in
+    for step = 1 to 8 do
+      match random_edit rng !g with
+      | None -> ()
+      | Some (op, u, v) ->
+          let what = Printf.sprintf "seed %d step %d" seed step in
+          let before = full () in
+          g := apply op !g u v;
+          (match Catalog.edit c ~name:"g" ~op ~v:u ~w:v with
+          | Ok r when r.Catalog.closures = 1 -> ()
+          | Ok r -> Alcotest.failf "%s: carried %d closures" what r.Catalog.closures
+          | Error m -> Alcotest.failf "%s: %s" what m);
+          let after = full () and expected = BC.relation !g in
+          if not (BM.equal after expected) then
+            Alcotest.failf "%s: carried full closure diverges" what;
+          let same = after == before in
+          if same then incr rekeyed else incr rebuilt;
+          if same <> BM.equal before expected then
+            Alcotest.failf "%s: %s a closure the edit %s" what
+              (if same then "re-keyed" else "rebuilt")
+              (if same then "changed" else "left unchanged")
+    done
+  done;
+  if !rekeyed = 0 || !rebuilt = 0 then
+    Alcotest.failf "full closures re-keyed %d times and rebuilt %d times"
+      !rekeyed !rebuilt
+
 let chunk name lo hi f =
   Alcotest.test_case (Printf.sprintf "%s %d..%d" name lo (hi - 1)) `Slow (f lo hi)
 
@@ -539,6 +593,8 @@ let metamorphic_tests =
       test_edit_race_pinned_solve;
     Alcotest.test_case "an edit carries every cached closure" `Quick
       test_edit_carries_every_closure;
+    Alcotest.test_case "full closures re-keyed iff unchanged" `Quick
+      test_full_closure_branches;
   ]
 
 let suite =

@@ -48,6 +48,195 @@ let test_crc_vectors () =
   Alcotest.(check bool) "bit flip detected" false
     (Persist.crc32 "123456789" = Persist.crc32 "123456788")
 
+(* ---- signatures against the text-building reference ----
+
+   [Reference] is the checksum and the graph signatures as they were first
+   written: a CRC that boxes an [Int32] per byte, and an [analyze] that
+   prints each component's canonical text with [Printf] into a [Buffer]
+   before checksumming it. The streaming CRC and the catalog's one-pass
+   [analyze] must give the same values on every input, since signatures
+   are persisted, shown on the wire and embedded in cache keys. *)
+
+module Reference = struct
+  module D = Phom_graph.Digraph
+
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then
+              Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+
+  let crc32 s =
+    let c = ref 0xFFFFFFFFl in
+    String.iter
+      (fun ch ->
+        let i =
+          Int32.to_int
+            (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
+        in
+        c := Int32.logxor crc_table.(i) (Int32.shift_right_logical !c 8))
+      s;
+    Int32.logxor !c 0xFFFFFFFFl
+
+  let crc32_hex s = Printf.sprintf "%08lx" (crc32 s)
+
+  (* (gsig, lsig, rep, comp_crc) *)
+  let analyze g =
+    let n = D.n g in
+    let comps = Phom_graph.Components.compute g in
+    let reps = Array.make comps.Phom_graph.Components.count max_int in
+    let comp_of = comps.Phom_graph.Components.comp in
+    for v = 0 to n - 1 do
+      if v < reps.(comp_of.(v)) then reps.(comp_of.(v)) <- v
+    done;
+    let bufs =
+      Array.init comps.Phom_graph.Components.count (fun _ -> Buffer.create 64)
+    in
+    for v = 0 to n - 1 do
+      Buffer.add_string bufs.(comp_of.(v))
+        (Printf.sprintf "n %d %s\n" v (D.label g v))
+    done;
+    D.iter_edges
+      (fun u v ->
+        Buffer.add_string bufs.(comp_of.(u)) (Printf.sprintf "e %d %d\n" u v))
+      g;
+    let crcs = Array.map (fun b -> crc32_hex (Buffer.contents b)) bufs in
+    let order = Array.init (Array.length crcs) Fun.id in
+    Array.sort (fun a b -> compare reps.(a) reps.(b)) order;
+    let summary =
+      String.concat ";"
+        (Array.to_list
+           (Array.map (fun c -> Printf.sprintf "%d:%s" reps.(c) crcs.(c)) order))
+    in
+    let lbuf = Buffer.create (16 * n) in
+    for v = 0 to n - 1 do
+      Buffer.add_string lbuf (D.label g v);
+      Buffer.add_char lbuf '\x00'
+    done;
+    ( crc32_hex summary,
+      crc32_hex (Buffer.contents lbuf),
+      Array.init n (fun v -> reps.(comp_of.(v))),
+      Array.init n (fun v -> crcs.(comp_of.(v))) )
+end
+
+let test_crc_reference () =
+  Alcotest.(check int32) "check value" 0xcbf43926l (Persist.crc32 "123456789");
+  let rng = Random.State.make [| 0xC8C |] in
+  let random_string len =
+    String.init len (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let inputs =
+    [ ""; String.init 256 Char.chr; String.make 40_000 '\xff' ]
+    @ List.init 40 (fun i -> random_string (Random.State.int rng (if i < 30 then 64 else 50_000)))
+  in
+  List.iteri
+    (fun i s ->
+      let what = Printf.sprintf "input %d (%d bytes)" i (String.length s) in
+      Alcotest.(check int32) (what ^ ": crc32") (Reference.crc32 s) (Persist.crc32 s);
+      Alcotest.(check string) (what ^ ": crc32_hex") (Reference.crc32_hex s)
+        (Persist.crc32_hex s);
+      (* streamed in two pieces and byte by byte *)
+      let cut = if s = "" then 0 else Random.State.int rng (String.length s) in
+      let halves =
+        Persist.crc_string
+          (Persist.crc_string Persist.crc_init (String.sub s 0 cut))
+          (String.sub s cut (String.length s - cut))
+      in
+      Alcotest.(check string) (what ^ ": split") (Reference.crc32_hex s)
+        (Persist.crc_hex halves);
+      let bytes = ref Persist.crc_init in
+      String.iter (fun ch -> bytes := Persist.crc_byte !bytes ch) s;
+      Alcotest.(check string) (what ^ ": bytewise") (Reference.crc32_hex s)
+        (Persist.crc_hex !bytes))
+    inputs;
+  List.iter
+    (fun k ->
+      Alcotest.(check string) (Printf.sprintf "decimal %d" k)
+        (Reference.crc32_hex ("x" ^ string_of_int k))
+        (Persist.crc_hex (Persist.crc_int (Persist.crc_byte Persist.crc_init 'x') k)))
+    [ 0; 7; 9; 10; 99; 100; 999; 1000; 123456789; max_int ];
+  Alcotest.check_raises "negative decimal"
+    (Invalid_argument "Persist.crc_int: negative") (fun () ->
+      ignore (Persist.crc_int Persist.crc_init (-1)))
+
+(* graphs whose signatures exercise every separator: several weak
+   components, isolated nodes, self-loops, no nodes at all, node ids of one
+   to four digits, and labels with spaces, no bytes or non-ASCII bytes *)
+let sig_labels = [| "a"; "L1"; ""; "a b"; "\xc3\xa9t\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "x;y:z" |]
+
+let sig_graph rng n =
+  let module D = Phom_graph.Digraph in
+  let labels =
+    Array.init n (fun _ -> sig_labels.(Random.State.int rng (Array.length sig_labels)))
+  in
+  let m = if n = 0 then 0 else Random.State.int rng (n + 2) in
+  let edges =
+    List.init m (fun _ ->
+        let u = Random.State.int rng n in
+        (* one edge in five a self-loop *)
+        (u, if Random.State.int rng 5 = 0 then u else Random.State.int rng n))
+  in
+  D.make ~labels ~edges:(List.sort_uniq compare edges)
+
+let load_sig_graph c name g =
+  ok_or_fail
+    (Catalog.restore_record c
+       { Persist.kind = "graph"; name;
+         payload = Phom_graph.Graph_io.to_string g })
+
+let check_pin_reference what (p : Catalog.pin) =
+  let gsig, lsig, rep, crc = Reference.analyze p.Catalog.pin_graph in
+  Alcotest.(check string) (what ^ ": pin_sig") gsig p.Catalog.pin_sig;
+  Alcotest.(check string) (what ^ ": pin_lsig") lsig p.Catalog.pin_lsig;
+  Alcotest.(check (array int)) (what ^ ": pin_rep") rep p.Catalog.pin_rep;
+  Alcotest.(check (array string)) (what ^ ": pin_crc") crc p.Catalog.pin_crc
+
+let test_signature_reference () =
+  let rng = Random.State.make [| 0x516 |] in
+  let c = Catalog.create () in
+  let sizes = [ 0; 1; 2; 9; 10; 11; 30; 99; 100; 101; 250; 999; 1000; 1003 ] in
+  List.iteri
+    (fun i n ->
+      let name = Printf.sprintf "g%d" i in
+      load_sig_graph c name (sig_graph rng n);
+      let p = ok_or_fail (Catalog.pin c name) in
+      let what = Printf.sprintf "%d nodes, %d edges" n
+          (Phom_graph.Digraph.nb_edges p.Catalog.pin_graph) in
+      check_pin_reference what p)
+    sizes
+
+(* seeded add/delete scripts through [Catalog.edit]: the reply's [crc] and
+   a fresh pin must equal the reference's signatures of the edited graph *)
+let test_edit_signature_reference () =
+  let module D = Phom_graph.Digraph in
+  for seed = 0 to 11 do
+    let rng = Random.State.make [| 0xED1; seed |] in
+    let n = List.nth [ 1; 5; 12; 40; 120; 1002 ] (seed mod 6) in
+    let g = ref (sig_graph rng n) in
+    let c = Catalog.create () in
+    load_sig_graph c "g" !g;
+    for step = 1 to 25 do
+      let u = Random.State.int rng n and v = Random.State.int rng n in
+      let op = if D.has_edge !g u v then `Del else `Add in
+      let what =
+        Printf.sprintf "seed %d step %d (%s %d->%d)" seed step
+          (match op with `Add -> "add" | `Del -> "del") u v
+      in
+      g := (match op with `Add -> D.add_edge !g u v | `Del -> D.remove_edge !g u v);
+      let r = ok_or_fail (Catalog.edit c ~name:"g" ~op ~v:u ~w:v) in
+      let gsig, _, _, _ = Reference.analyze !g in
+      Alcotest.(check string) (what ^ ": reply crc") gsig r.Catalog.crc;
+      let p = ok_or_fail (Catalog.pin c "g") in
+      Alcotest.(check bool) (what ^ ": pinned graph") true (D.equal !g p.Catalog.pin_graph);
+      check_pin_reference what p
+    done
+  done
+
 (* ---- snapshot round trip and quarantine ---- *)
 
 let sample_records =
@@ -437,5 +626,11 @@ let suite =
           test_state_recovery_quarantines_corruption;
         Alcotest.test_case "unusable state dir fails fast" `Quick
           test_state_dir_unusable_fails_fast;
+        Alcotest.test_case "streaming crc = reference" `Quick
+          test_crc_reference;
+        Alcotest.test_case "graph signatures = reference" `Quick
+          test_signature_reference;
+        Alcotest.test_case "edit signatures = reference" `Quick
+          test_edit_signature_reference;
       ] );
   ]
