@@ -4,8 +4,9 @@
 	chaos-smoke fleet-smoke phombench-smoke phombench-pairs ablations micro \
 	examples fmt fmt-check ci clean
 
-# worker domains for the parallel runtime; passed through to the bench
-# harness (the CLI takes its own --jobs flag)
+# worker domains for the bench harness's batches (sweep points and
+# per-version match jobs); it feeds only the bench harness, since the CLI
+# takes no --jobs
 JOBS ?= 1
 
 all: build
@@ -39,7 +40,8 @@ bench-full:
 #   recovery  recovered start strictly cheaper than a cold one, same answers
 #   fleet     routed latency, 1 vs 3 replicas; failover blip <= 10 s, same
 #             answer
-#   parallel  sequential vs the domain pool: same output, speedup reported
+#   parallel  the Web matcher's per-version batch, sequential vs the domain
+#             pool: same output, speedup reported
 # `make bench-<suite>` runs one against its checked-in baseline when it has
 # one; a suite fails on a broken guard, a regressed baseline row (steps
 # +20%, times +20% plus 0.25 s) or a built-in liveness check that does not

@@ -179,8 +179,9 @@ let parallel_cmd =
   in
   Cmd.v
     (Cmd.info "parallel"
-       ~doc:"Sequential vs --jobs N wall-clock on the pool-accelerated \
-             workloads; fails when the two disagree on an answer.")
+       ~doc:"Sequential vs --jobs N wall-clock on the Web matcher's \
+             per-version match jobs, the batch the pool accelerates; fails \
+             when the two disagree on an answer.")
     Term.(
       const run $ seed_arg
       $ Arg.(

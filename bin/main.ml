@@ -124,26 +124,6 @@ let check_budget_flags timeout steps =
   | Some n when n < 0 -> die "--steps must be non-negative (got %d)" n
   | _ -> ()
 
-(* ---- parallelism ---- *)
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Worker domains for the parallel solving runtime: with \
-              $(b,--partition), the components of the pattern are solved \
-              across domains. Nothing else fans out. The default, \
-              $(b,--jobs 1), starts no pool and is bit-identical to a build \
-              without parallelism.")
-
-(* [--jobs 1] must not even construct a pool: the sequential code path is
-   the byte-identical baseline the cram suite pins down *)
-let with_pool jobs f =
-  if jobs < 1 then die "--jobs must be at least 1 (got %d)" jobs;
-  if jobs = 1 then f None
-  else Phom_parallel.Pool.with_pool ~domains:jobs (fun p -> f (Some p))
-
 (* The fork/exec and OCaml runtime boot happen before [start_time] is
    captured, so a deadline anchored there would under-count what the user
    actually waits for.  Charge a conservative allowance for that pre-main
@@ -255,7 +235,7 @@ let match_cmd =
                 path for every mapped pattern edge.")
   in
   let run pattern data xi sim mat_file problem algorithm max_width partition
-      compress hops weights dot_out explain timeout steps jobs =
+      compress hops weights dot_out explain timeout steps =
     guard @@ fun () ->
     check_xi xi;
     if compress && hops <> None then
@@ -266,9 +246,8 @@ let match_cmd =
     let t = instance_of ?budget ?hops g1 g2 mat xi in
     let weights = weights_of weights g1 in
     let r =
-      with_pool jobs (fun pool ->
-          Api.solve_within ~algorithm ?max_width ~partition ~compress ~weights
-            ?budget ?pool problem t)
+      Api.solve_within ~algorithm ?max_width ~partition ~compress ~weights
+        ?budget problem t
     in
     if explain then print_string (Api.report t r)
     else begin
@@ -300,7 +279,7 @@ let match_cmd =
       const run $ pattern_arg $ data_arg $ xi_arg $ sim_arg $ mat_file_arg
       $ problem_arg $ algorithm_arg $ max_width_arg $ partition_arg
       $ compress_arg $ hops_arg $ weights_arg $ dot_out_arg $ explain_arg
-      $ timeout_arg $ steps_arg $ jobs_arg)
+      $ timeout_arg $ steps_arg)
   in
   Cmd.v
     (Cmd.info "match"

@@ -37,9 +37,10 @@ let jobs_arg =
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Domains in the shared solving pool, the event loop's own \
               included. The loop never runs a solve, so $(docv)-1 workers \
-              run solves and their fan-out: $(b,--jobs 2) serves one solve \
-              at a time. $(b,--jobs 1) (the default) runs each solve on \
-              the loop's domain, sequentially, bit-identical to the CLI.")
+              run solves, one solve per worker: $(b,--jobs 2) serves one \
+              solve at a time. $(b,--jobs 1) (the default) runs each solve \
+              on the loop's domain. Replies are the same at any $(docv), \
+              step-capped ones included.")
 
 let cache_mb_arg =
   Arg.(

@@ -33,26 +33,25 @@ let problem_name = function
 
 let default_weights (t : Instance.t) = Array.make (D.n t.g1) 1.
 
+(* [pool] is ignored: every phase runs on the caller's domain, and the
+   parameter stays only because phombench's tracer still passes one *)
 let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
-    ?(compress = false) ?(max_width = default_max_width) ?budget ?pool
+    ?(compress = false) ?(max_width = default_max_width) ?budget ?pool:_
     ?warm_start problem (t : Instance.t) =
   let inj = injective problem in
   let weights = match weights with Some w -> w | None -> default_weights t in
   (* Exact_bb without an explicit budget runs on its own default token;
-     record a trip so the caller still learns the result may be partial.
-     Atomic because partitioned components may report from worker domains. *)
-  let inner_status = Atomic.make Budget.Complete in
+     record a trip so the caller still learns the result may be partial *)
+  let inner_status = ref Budget.Complete in
   let settle (o : Exact.outcome) =
     (match o.status with
-    | Budget.Exhausted _ as s -> Atomic.set inner_status s
+    | Budget.Exhausted _ as s -> inner_status := s
     | Budget.Complete -> ());
     o.mapping
   in
   (* [w] below is always re-indexed to the g1 of the sub-instance at hand
-     (partitioning renumbers g1 nodes; compression leaves g1 intact); the
-     budget is passed down explicitly so the partitioned path can hand each
-     component its own forked child token *)
-  let base_algo ?budget (sub : Instance.t) w =
+     (partitioning renumbers g1 nodes; compression leaves g1 intact) *)
+  let base_algo (sub : Instance.t) w =
     let objective =
       match problem with
       | CPH | CPH11 -> Exact.Cardinality
@@ -79,7 +78,7 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
   let compress =
     compress && not (inj && (algorithm = Exact_bb || algorithm = Dp_td))
   in
-  let compressed_algo ?budget sub w =
+  let compressed_algo sub w =
     if compress then
       match (algorithm, problem) with
       | Direct, (CPH | CPH11) ->
@@ -90,11 +89,8 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
               ~capacities:c.Opts.capacities c.Opts.sub
           in
           Opts.decompress ~injective:inj c m
-      | _ ->
-          Opts.with_compression ~injective:inj
-            (fun s -> base_algo ?budget s w)
-            sub
-    else base_algo ?budget sub w
+      | _ -> Opts.with_compression ~injective:inj (fun s -> base_algo s w) sub
+    else base_algo sub w
   in
   let algo_label = algorithm_label algorithm in
   Obs.incr
@@ -106,12 +102,11 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
   let mapping =
     Obs.span span_name (fun () ->
         if partition && not inj then
-          Opts.partitioned ?pool ?budget
-            (fun ?budget sub old_of_new ->
-              compressed_algo ?budget sub
-                (Array.map (fun ov -> weights.(ov)) old_of_new))
+          Opts.partitioned
+            (fun sub old_of_new ->
+              compressed_algo sub (Array.map (fun ov -> weights.(ov)) old_of_new))
             t
-        else compressed_algo ?budget t weights)
+        else compressed_algo t weights)
   in
   Obs.span_steps span_name
     (Option.fold ~none:0 ~some:Budget.steps_used budget - steps_before);
@@ -126,8 +121,8 @@ let solve_within ?(algorithm = Direct) ?weights ?(partition = false)
     | Some b -> (
         match Budget.status b with
         | Budget.Exhausted _ as s -> s
-        | Budget.Complete -> Atomic.get inner_status)
-    | None -> Atomic.get inner_status
+        | Budget.Complete -> !inner_status)
+    | None -> !inner_status
   in
   (* a previous mapping, repaired against the (possibly edited) instance,
      becomes the anytime floor: a budget-tripped search never returns worse

@@ -73,8 +73,7 @@ val solve_within :
     [max_width] (default 4) is the decomposition-width ceiling up to which
     [Exact_bb] requests are answered by the tree-decomposition DP
     ({!Dp.solve}) instead of the branch and bound; [Dp_td] forces the DP
-    regardless of width, with the budget as the guard rail. The DP runs on
-    the caller's domain; [pool] serves [partition] only (below).
+    regardless of width, with the budget as the guard rail.
 
     [weights] applies to SPH/SPH¹⁻¹ (default all ones). [partition] enables
     the Appendix-B G1 partitioning (p-hom problems only — ignored for the
@@ -100,16 +99,10 @@ val solve_within :
     shared state per request (see {!Instance.preset_candidates} for priming
     it from an artifact cache).
 
-    [pool] serves the [partition] fan-out and nothing else: each weakly
-    connected component of the trimmed [G1] is solved on a pool domain,
-    with [budget] forked into domain-safe children
-    ({!Phom_graph.Budget.fork}) whose first trip stops every worker.
-    Results are merged in deterministic component order, so without a
-    budget trip the mapping is identical to the sequential one; a size-1
-    pool (or no pool) runs the historical sequential code path, bit for
-    bit. A child's unused step lease is not returned, so a pooled
-    partitioned solve under a step cap can trip up to 127 steps per
-    component before the sequential one would. *)
+    Every phase runs on the caller's domain, [partition]'s components one
+    after another, so a step cap trips at the same tick on every route.
+    [pool] is ignored; it is kept only so that existing callers
+    (phombench's tracer) still compile. *)
 
 val solve :
   ?algorithm:algorithm ->

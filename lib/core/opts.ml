@@ -1,7 +1,5 @@
 module D = Phom_graph.Digraph
 module BM = Phom_graph.Bitmatrix
-module Budget = Phom_graph.Budget
-module Pool = Phom_parallel.Pool
 module Simmat = Phom_sim.Simmat
 module Components = Phom_graph.Components
 module Condensation = Phom_graph.Condensation
@@ -19,10 +17,8 @@ let best_candidate (t : Instance.t) v =
   | [] -> None
   | u :: _ -> Some u (* rows are sorted by decreasing similarity *)
 
-let partitioned ?pool ?budget algo (t : Instance.t) =
-  let kept = matchable_nodes t in
-  let groups = Components.of_subset t.g1 kept in
-  let solve_group b group =
+let partitioned algo (t : Instance.t) =
+  let solve_group group =
     match group with
     | [ v ] -> (
         match best_candidate t v with None -> [] | Some u -> [ (v, u) ])
@@ -35,28 +31,10 @@ let partitioned ?pool ?budget algo (t : Instance.t) =
         let sub =
           Instance.make ~tc2:t.tc2 ~g1:g1c ~g2:t.g2 ~mat:mat_c ~xi:t.xi ()
         in
-        List.map (fun (v, u) -> (old_of_new.(v), u)) (algo ?budget:b sub old_of_new)
+        List.map (fun (v, u) -> (old_of_new.(v), u)) (algo sub old_of_new)
   in
-  let mappings =
-    match pool with
-    | Some p when Pool.size p > 1 && List.length groups > 1 ->
-        (* one forked budget per component, pre-forked in this domain so the
-           pool tasks never mutate the parent token; joined back below so
-           the parent reflects the family's consumption and first trip *)
-        let tagged =
-          List.map (fun g -> (Option.map Budget.fork budget, g)) groups
-        in
-        let out = Pool.map_list p (fun (b, g) -> solve_group b g) tagged in
-        List.iter
-          (fun (b, _) ->
-            match (budget, b) with
-            | Some parent, Some child -> Budget.join parent child
-            | _ -> ())
-          tagged;
-        out
-    | _ -> List.map (solve_group budget) groups
-  in
-  Mapping.normalize (List.concat mappings)
+  Mapping.normalize
+    (List.concat_map solve_group (Components.of_subset t.g1 (matchable_nodes t)))
 
 type compressed = {
   orig : Instance.t;

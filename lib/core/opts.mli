@@ -23,25 +23,14 @@ val matchable_nodes : Instance.t -> int list
     set [S1]). *)
 
 val partitioned :
-  ?pool:Phom_parallel.Pool.t ->
-  ?budget:Phom_graph.Budget.t ->
-  (?budget:Phom_graph.Budget.t -> Instance.t -> int array -> Mapping.t) ->
-  Instance.t ->
-  Mapping.t
+  (Instance.t -> int array -> Mapping.t) -> Instance.t -> Mapping.t
 (** [partitioned algo t] applies [algo] per weak component of the matchable
     part of [g1] and unions the results. [algo] receives sub-instances that
     share [t.g2]/[t.tc2], plus the [old_of_new] node map of the component
-    (so callers can re-index per-node data such as SPH weights).
-
-    With a [pool] of size > 1, the components are solved across domains
-    ({!Phom_parallel.Pool.map}; result order, and hence the merged mapping,
-    is identical to the sequential run). [budget] is forked into one
-    domain-safe child per component ({!Phom_graph.Budget.fork}) and joined
-    back, so a pool-wide allowance still trips every worker and the
-    returned mapping keeps anytime best-so-far semantics. Without a pool
-    (or with a size-1 pool) the components run sequentially on the calling
-    domain, sharing [budget] directly — bit-identical to the historical
-    behavior. *)
+    (so callers can re-index per-node data such as SPH weights). The
+    components are solved one after another on the calling domain, in
+    ascending order of their smallest node; a budget [algo] closes over is
+    shared by all of them, so it trips at the same tick as on one pass. *)
 
 type compressed = {
   orig : Instance.t;  (** the instance that was compressed *)

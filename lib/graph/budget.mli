@@ -6,7 +6,9 @@
     {!t} is a single mutable token carrying a wall-clock deadline, a step
     budget and an external cancellation hook; one token is threaded through
     an entire pipeline (closure construction, prefiltering, search) so the
-    phases draw on a common allowance.
+    phases draw on a common allowance. Every solve runs on its caller's
+    domain, so a token is ticked by one domain at a time, and a step cap
+    trips at the same tick on every route.
 
     Solvers call {!tick} once per unit of work (a search node, a fixpoint
     pass, a BFS visit). The step counter is checked on every tick; the
@@ -73,61 +75,11 @@ val exhausted : t -> bool
 (** Has the token tripped? Does not consume a step and does not poll. *)
 
 val cancel : t -> unit
-(** Trip the token from outside (e.g. a signal handler or a supervising
-    thread). Idempotent; an earlier trip reason wins. Cancelling a token
-    that has forked children (see {!fork}) trips the children too, at
-    their next poll point. *)
-
-(** {1 Domain-safe forking}
-
-    A plain token is a single-domain mutable value. To share one allowance
-    across the domains of a {!Phom_parallel.Pool}, the owning domain forks
-    one {e child token} per parallel task and joins them back afterwards:
-
-    {[
-      let children = List.map (fun w -> (w, Budget.fork b)) work in
-      let results = Pool.map pool (fun (w, c) -> solve ~budget:c w) ... in
-      List.iter (fun (_, c) -> Budget.join b c) children
-    ]}
-
-    The children draw steps from a single atomic ledger in leases of 128
-    steps. The grants never exceed the parent's remaining allowance, so the
-    family never consumes more ticks than the parent could have. The cap is
-    an upper bound, not an exact one: a child's unused lease (at most 127
-    steps) is never returned to the ledger, so once a child has finished,
-    its siblings can trip up to 127 steps per finished child before the
-    parent alone would have. The children share the parent's wall-clock
-    deadline and cancellation hook, and the first member to trip — for any
-    reason — publishes the trip so every sibling stops at its next poll
-    point (first-exhausted cancels the family). Anytime semantics survive:
-    each task returns its best-so-far result, exactly as in sequential
-    runs.
-
-    Rules: {!fork} must be called by the domain that owns the token being
-    forked (pre-fork the children before handing them to pool tasks); a
-    parent must not {!tick} while its children are live; {!join} folds a
-    child's consumption and trip reason back into the parent, so after
-    joining every child, {!steps_used} of the parent counts the whole
-    family's work and {!status} reports the family's first trip. Forks do
-    not nest: a child's steps are leases it already drew, so joining a
-    grandchild into it would charge the grandchild's steps to the ledger
-    twice. The one fork in the library, the [partition] fan-out of
-    [Phom.Api.solve_within], forks a plain token once per component. A
-    user-supplied [cancel] hook is called from worker domains and must be
-    domain-safe. *)
-
-val fork : t -> t
-(** [fork parent] is a child token drawing on [parent]'s remaining
-    allowance, for use by exactly one parallel task. Forking an
-    already-exhausted parent yields an already-tripped child.
-
-    @raise Invalid_argument if [parent] was itself created by {!fork}. *)
-
-val join : t -> t -> unit
-(** [join parent child] folds [child]'s step consumption and trip status
-    back into [parent]. Call it after the child's task has finished.
-
-    @raise Invalid_argument if [child] was not created by {!fork}. *)
+(** Trip the token from outside the solver (e.g. a signal handler).
+    Idempotent; an earlier trip reason wins. The token is a plain mutable
+    value: to stop it from another domain, use the [cancel] hook of
+    {!create} instead, which the ticking domain polls — as phomd's drain
+    does. *)
 
 val status : t -> status
 val why : t -> reason option

@@ -2,20 +2,20 @@
     fan-out, built on stdlib [Domain], [Atomic], [Mutex] and [Condition]
     only — no external dependencies.
 
-    Three seams of this repository decompose into independent units: the
-    weakly-connected components of [G1] under partitioning, the daemon's
-    request jobs, and the bench harness's sweep points and per-version
-    match jobs. A pool runs those units across domains while keeping
-    results deterministic: {!map} returns results in input order, and a
-    pool of size 1 executes the exact sequential code path, so [--jobs 1]
-    is bit-identical to a build without this library.
+    Two seams of this repository decompose into independent units: the
+    daemon's request jobs, and the bench harness's batches (sweep points
+    and per-version match jobs). A solve itself never spans domains: each
+    job or batch item runs on one. A pool runs those units across domains
+    while keeping results deterministic: {!map} returns results in input
+    order, and a pool of size 1 executes the exact sequential code path,
+    so [--jobs 1] is bit-identical to a build without this library.
 
     Submitting work is only allowed from the domain that created the pool
     or from inside a pool task (a nested {!map} is safe: the caller of a
     batch always participates in executing it, so progress never depends
     on a free worker). Tasks themselves must be domain-safe: they
-    must not share mutable state unless that state is synchronized (see
-    {!Phom_graph.Budget.fork} for the budget tokens). *)
+    must not share mutable state unless that state is synchronized — a
+    {!Phom_graph.Budget.t}, for one, is ticked by one task at a time. *)
 
 type t
 

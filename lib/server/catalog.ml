@@ -292,7 +292,7 @@ let unload t name =
             (fun k (g1, g2, _) ->
               if g1 = name || g2 = name then Hashtbl.remove t.solutions k)
             (Hashtbl.copy t.solutions);
-          Ok (Lru.remove_if t.cache (derived_from name))
+          Ok (List.length (Lru.remove_if t.cache (derived_from name)))
         end
         else Error (Printf.sprintf "name %s is not loaded" name))
   in
@@ -665,27 +665,30 @@ let op_name = function `Add -> "add" | `Del -> "del"
    they are recomputed, as is a full closure the edit changes. Runs under
    the catalog lock, so no unload can interleave; the cache insertions go
    straight to the Lru (the journal event for the edit subsumes them —
-   replay re-applies the edit and re-maintains). *)
+   replay re-applies the edit and re-maintains). One sweep takes the old
+   closures out, least-recently-used first, and putting them back in that
+   order keeps their recency order. *)
 let maintain_closures t ~name ~old_sig ~after ~op ~v ~w =
   let reaches = lazy Phom_graph.(Bitset.mem (Traversal.reachable_nonempty after.g v) w) in
   let unchanged m = match op with `Add -> BM.get m v w | `Del -> Lazy.force reaches in
-  let moved = ref 0 in
+  let old =
+    Lru.remove_if t.cache (function
+      | K_closure (n, s, _) -> n = name && s = old_sig
+      | _ -> false)
+  in
   List.iter
-    (fun (k, art) ->
-      match (k, art) with
-      | K_closure (n, s, hops), A_closure m when n = name && s = old_sig ->
+    (function
+      | K_closure (n, _, hops), A_closure m ->
           let m =
             if hops = None && unchanged m then m
             else
               Obs.span "closure_edit" (fun () ->
                   Phom_graph.Bounded_closure.relation ?hops after.g)
           in
-          ignore (Lru.remove_if t.cache (fun k' -> k' = k));
-          Lru.put t.cache (K_closure (n, after.gsig, hops)) (A_closure m);
-          incr moved
+          Lru.put t.cache (K_closure (n, after.gsig, hops)) (A_closure m)
       | _ -> ())
-    (Lru.bindings t.cache);
-  !moved
+    old;
+  List.length old
 
 let edit ?expect_crc t ~name ~op ~v ~w =
   let result =

@@ -244,9 +244,8 @@ let recover catalog ~dir ~fsync =
   | Error _ -> p.persist_errors <- p.persist_errors + 1);
   p
 
-(* a size-1 pool is the sequential code path of every pool seam: jobs
-   submitted to it run in the submitter. It serves [--jobs 1] requests and
-   states made without a pool. *)
+(* a size-1 pool runs every job submitted to it in the submitter: a state
+   made without a pool executes each request on the caller's domain *)
 let sequential_pool = Pool.create ~domains:1 ()
 
 let make_state ?(pool = sequential_pool) config =
@@ -455,12 +454,10 @@ let prepare_solve st (s : Protocol.solve) =
     ~hops:s.Protocol.hops ~xi:s.Protocol.xi ~timeout:s.Protocol.timeout
     ~steps:s.Protocol.steps
     (fun ~budget ~p1 ~p2:_ ~matv:_ t prov ->
-      (* a [--jobs 1] request solves its components without fan-out *)
-      let pool = if s.Protocol.sequential then sequential_pool else st.pool in
       let r =
         Api.solve_within ~algorithm:s.Protocol.algorithm
           ~partition:s.Protocol.partition ~compress:s.Protocol.compress
-          ~budget ~pool ?warm_start s.Protocol.problem t
+          ~budget ?warm_start s.Protocol.problem t
       in
       Catalog.remember_solution st.catalog ~key:wkey ~g1:s.Protocol.g1
         ~g2:s.Protocol.g2 r.Api.mapping;

@@ -35,9 +35,10 @@ type config = {
           dials. *)
   jobs : int;
       (** domains in the pool, the event loop's own included. The loop
-          never runs a solve, so [jobs - 1] workers run solves and their
-          fan-out: [jobs = 2] serves one solve at a time. [jobs = 1] runs
-          each solve on the loop's domain, on the sequential code path. *)
+          never runs a solve, so [jobs - 1] workers run solves, each solve
+          on one worker: [jobs = 2] serves one solve at a time. [jobs = 1]
+          runs each solve on the loop's domain. A step cap answers the
+          same at any [jobs]. *)
   cache_bytes : int;  (** artifact-cache capacity *)
   max_graph_bytes : int;
   max_mat_bytes : int;
@@ -87,8 +88,9 @@ val make_state : ?pool:Phom_parallel.Pool.t -> config -> state
 (** [pool] runs the state's solve and count jobs. It is borrowed, not
     owned: the caller keeps control of it and shuts it down. Without one,
     the state uses a size-1 pool, so every job runs in the caller of
-    {!execute}, on the sequential code path. {!serve} builds its state
-    over a pool of [config.jobs] domains.
+    {!execute}. {!serve} builds its state over a pool of [config.jobs]
+    domains. Each job runs on one domain, so the pool changes where a
+    reply is computed, never what it says.
 
     When [config.state_dir] is set, this is also the recovery point: the
     latest snapshot is restored (every record checksum-verified; failures

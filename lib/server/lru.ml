@@ -90,6 +90,12 @@ let put t k v =
         done
       end)
 
+(* (key, value) pairs, least-recently-used first *)
+let by_recency entries =
+  List.map
+    (fun (k, e) -> (k, e.value))
+    (List.sort (fun (_, a) (_, b) -> compare a.last_use b.last_use) entries)
+
 let remove_if t pred =
   locked t (fun () ->
       let doomed =
@@ -100,13 +106,10 @@ let remove_if t pred =
           Hashtbl.remove t.table k;
           t.bytes <- t.bytes - e.weight)
         doomed;
-      List.length doomed)
+      by_recency doomed)
 
 let bindings t =
-  locked t (fun () ->
-      let all = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.table [] in
-      let by_recency (_, a) (_, b) = compare a.last_use b.last_use in
-      List.map (fun (k, e) -> (k, e.value)) (List.sort by_recency all))
+  locked t (fun () -> by_recency (Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.table []))
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

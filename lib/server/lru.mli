@@ -36,10 +36,12 @@ val put : ('k, 'v) t -> 'k -> 'v -> unit
     capacity is not stored at all (it would only evict everything and still
     not fit). Does not touch the hit/miss counters. *)
 
-val remove_if : ('k, 'v) t -> ('k -> bool) -> int
+val remove_if : ('k, 'v) t -> ('k -> bool) -> ('k * 'v) list
 (** Invalidation sweep (e.g. on catalog [unload]): drop every entry whose
-    key satisfies the predicate; returns how many were dropped. Dropped
-    entries do not count as evictions. *)
+    key satisfies the predicate, in one pass under the lock; returns the
+    dropped entries least-recently-used first, so re-inserting them in
+    that order keeps their relative recency. Dropped entries do not count
+    as evictions. *)
 
 val stats : ('k, 'v) t -> stats
 

@@ -10,7 +10,6 @@ type solve = {
   algorithm : Phom.Api.algorithm;
   partition : bool;
   compress : bool;
-  sequential : bool;
 }
 
 type count = {
@@ -164,9 +163,7 @@ let parse_solve_flags ?(context = `Solve) init flags =
         | _ -> err "unknown algorithm %s (direct, naive, exact or dp)" v)
     | "--jobs" :: v :: rest -> (
         match int_of v with
-        | Some n when n >= 1 ->
-            s := { !s with sequential = n = 1 };
-            go rest
+        | Some n when n >= 1 -> go rest
         | _ -> err "--jobs must be an integer >= 1 (got %s)" v)
     | tok :: _ -> err "unknown solve flag %s" tok
   in
@@ -241,7 +238,6 @@ let parse line =
               algorithm = Phom.Api.Direct;
               partition = false;
               compress = false;
-              sequential = false;
             }
           in
           match parse_solve_flags init flags with
@@ -263,7 +259,6 @@ let parse line =
           algorithm = Phom.Api.Direct;
           partition = false;
           compress = false;
-          sequential = false;
         }
       in
       match parse_solve_flags ~context:`Count init flags with

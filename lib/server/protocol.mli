@@ -45,11 +45,10 @@
     what makes re-delivered edit lines (router replay, retries) converge
     instead of double-applying.
 
-    [--jobs 1] keeps a [solve --partition] from fanning its components
-    out across domains: they are solved one after another on the request's
-    own job. Any other value lets them use the daemon's shared pool. On
-    [count] the token is accepted and has no effect: the DP always runs on
-    the request's job. [--timeout]/[--steps] bound this one request (they
+    [--jobs INT] is parsed and validated (an integer >= 1) on [solve] and
+    [count] and has no effect: every solve and count runs on the request's
+    own job, so existing request lines that carry it keep their meaning.
+    [--timeout]/[--steps] bound this one request (they
     default to the daemon's [--default-timeout]/[--default-steps]); replies
     then carry [status=exhausted(...)] with the best-so-far answer, exactly
     like the CLI's exit-code-2 contract. *)
@@ -66,7 +65,6 @@ type solve = {
   algorithm : Phom.Api.algorithm;
   partition : bool;
   compress : bool;
-  sequential : bool;  (** [--jobs 1] *)
 }
 
 type count = {

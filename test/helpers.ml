@@ -14,6 +14,38 @@ let graph labels edges = D.make ~labels:(Array.of_list labels) ~edges
 let eq_instance ?(xi = 0.5) g1 g2 =
   Instance.make ~g1 ~g2 ~mat:(Simmat.of_label_equality g1 g2) ~xi ()
 
+(* a pattern of several weak components and a data graph holding a noisy
+   copy of each: a 12-edge paper pattern and three 12-node ER graphs over
+   one label pool, joined by disjoint union — the shape the Appendix-B
+   partitioning splits *)
+let multi_component_pair seed =
+  let module G = Phom_graph.Generators in
+  let rng = Random.State.make [| seed |] in
+  let g0, lpool = G.paper_pattern ~rng ~m:12 in
+  let patterns =
+    g0
+    :: List.init 3 (fun _ ->
+           G.erdos_renyi ~rng ~n:12 ~m:48 ~labels:(fun _ ->
+               G.label_name (Random.State.int rng lpool.G.nlabels)))
+  in
+  let datas = List.map (G.paper_data ~rng ~pool:lpool ~noise:0.1) patterns in
+  let union gs =
+    let labels =
+      Array.concat (List.map (fun g -> Array.init (D.n g) (D.label g)) gs)
+    in
+    let _, edges =
+      List.fold_left
+        (fun (off, acc) g ->
+          ( off + D.n g,
+            List.rev_append
+              (List.map (fun (v, w) -> (v + off, w + off)) (D.edges g))
+              acc ))
+        (0, []) gs
+    in
+    D.make ~labels ~edges
+  in
+  (union patterns, union datas)
+
 let qtest ?(count = 100) name gen print prop =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name (QCheck.make ~print gen) prop)

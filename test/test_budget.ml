@@ -453,121 +453,6 @@ let test_grid_symmetric () =
         run)
     grid_instances
 
-(* ---- fork/join: the domain-safe sharing protocol ---- *)
-
-let drain b =
-  (* tick until the token trips, returning how many ticks it granted *)
-  let n = ref 0 in
-  let safety = ref 1_000_000 in
-  while Budget.tick b && !safety > 0 do
-    incr n;
-    decr safety
-  done;
-  Alcotest.(check bool) "drain terminated" true (!safety > 0);
-  !n
-
-let test_fork_exact_family_cap () =
-  (* however the children interleave, the family can consume exactly the
-     parent's allowance — the lease grants partition it *)
-  List.iter
-    (fun total ->
-      let parent = Budget.create ~steps:total () in
-      let c1 = Budget.fork parent and c2 = Budget.fork parent in
-      let n1 = drain c1 in
-      let n2 = drain c2 in
-      Alcotest.(check int)
-        (Printf.sprintf "family of 2 consumes exactly %d" total)
-        total (n1 + n2);
-      Budget.join parent c1;
-      Budget.join parent c2;
-      Alcotest.(check int) "parent counts the family" total (Budget.steps_used parent);
-      Alcotest.(check bool) "parent exhausted" true (Budget.exhausted parent);
-      Alcotest.(check bool) "why = steps" true (Budget.why parent = Some Budget.Steps))
-    [ 0; 1; 7; 128; 129; 1000 ]
-
-let test_fork_of_tripped_parent () =
-  let parent = Budget.trip_after 3 in
-  ignore (drain parent);
-  Alcotest.(check bool) "parent tripped" true (Budget.exhausted parent);
-  let child = Budget.fork parent in
-  Alcotest.(check bool) "child born tripped" false (Budget.tick child);
-  Alcotest.(check bool) "child why = steps" true (Budget.why child = Some Budget.Steps)
-
-let test_fork_untripped_family_completes () =
-  (* an ample allowance: no child trips, and join folds consumption *)
-  let parent = Budget.create ~steps:1_000_000 () in
-  let children = List.init 4 (fun _ -> Budget.fork parent) in
-  List.iter
-    (fun c ->
-      for _ = 1 to 50 do
-        Alcotest.(check bool) "child runs" true (Budget.tick c)
-      done)
-    children;
-  List.iter (fun c -> Budget.join parent c) children;
-  Alcotest.(check int) "200 steps folded" 200 (Budget.steps_used parent);
-  Alcotest.(check bool) "parent complete" true (Budget.status parent = Budget.Complete)
-
-let test_cancel_propagates_to_children () =
-  let parent = Budget.create () in
-  let c1 = Budget.fork parent and c2 = Budget.fork parent in
-  Alcotest.(check bool) "c1 runs" true (Budget.tick c1);
-  Budget.cancel parent;
-  Alcotest.(check bool) "c1 stops at poll" false (Budget.poll c1);
-  Alcotest.(check bool) "c2 stops at poll" false (Budget.poll c2);
-  Alcotest.(check bool) "c2 why = cancelled" true (Budget.why c2 = Some Budget.Cancelled)
-
-let test_sibling_trip_propagates () =
-  (* the first child to exhaust the ledger stops its siblings *)
-  let parent = Budget.create ~steps:10 () in
-  let c1 = Budget.fork parent and c2 = Budget.fork parent in
-  ignore (drain c1);
-  (* c1 ate the whole allowance *)
-  Alcotest.(check bool) "sibling stops" false (Budget.tick c2);
-  Alcotest.(check bool) "sibling why = steps" true (Budget.why c2 = Some Budget.Steps);
-  Budget.join parent c1;
-  Budget.join parent c2;
-  Alcotest.(check bool) "parent exhausted" true (Budget.exhausted parent)
-
-let test_join_validation () =
-  let parent = Budget.create () in
-  let stranger = Budget.create () in
-  Alcotest.check_raises "join of a non-child"
-    (Invalid_argument "Budget.join: not a forked token") (fun () ->
-      Budget.join parent stranger)
-
-(* forks do not nest: a child's steps are leases it already drew, so
-   joining a grandchild into it would charge those steps to the family
-   ledger a second time *)
-let test_fork_of_child_refused () =
-  let parent = Budget.create ~steps:1000 () in
-  let child = Budget.fork parent in
-  Alcotest.check_raises "fork of a forked token"
-    (Invalid_argument "Budget.fork: a forked token cannot be forked") (fun () ->
-      ignore (Budget.fork child));
-  (* the refusal leaves the family intact *)
-  Alcotest.(check int) "child still drains the cap" 1000 (drain child);
-  Budget.join parent child;
-  Alcotest.(check int) "parent counts the family" 1000 (Budget.steps_used parent)
-
-let test_fork_across_domains () =
-  (* the real thing: children ticked concurrently from spawned domains,
-     total family consumption still exactly the parent's step cap *)
-  let total = 50_000 in
-  let parent = Budget.create ~steps:total () in
-  let children = Array.init 4 (fun _ -> Budget.fork parent) in
-  let counts =
-    Array.map
-      (fun c -> Domain.spawn (fun () -> drain c))
-      children
-    |> Array.map Domain.join
-  in
-  Alcotest.(check int)
-    "family consumes exactly the cap" total
-    (Array.fold_left ( + ) 0 counts);
-  Array.iter (fun c -> Budget.join parent c) children;
-  Alcotest.(check int) "parent ledger" total (Budget.steps_used parent);
-  Alcotest.(check bool) "why = steps" true (Budget.why parent = Some Budget.Steps)
-
 (* the weighted approximations across the trip grid: Halldórsson's weight
    classes share one tripping token, so a trip can land in any class — but
    every answer stays valid, and the independent set never empty *)
@@ -599,23 +484,6 @@ let test_parallel_fault_grid () =
         (Printf.sprintf "valid clique at trip %d" n)
         true (U.is_clique g c))
     trip_points
-
-let test_jobs1_equals_jobs4_under_budget () =
-  (* deterministic seeds, ample budget: pool size must not change answers *)
-  Phom_parallel.Pool.with_pool ~domains:4 (fun pool ->
-      List.iteri
-        (fun i t ->
-          let solve p b = Phom.Api.solve_within ?pool:p ~partition:true ~budget:b Phom.Api.CPH t in
-          let seq = solve None (Budget.create ~steps:50_000_000 ()) in
-          let par = solve (Some pool) (Budget.create ~steps:50_000_000 ()) in
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "inst%d same quality" i)
-            seq.Phom.Api.quality par.Phom.Api.quality;
-          Alcotest.(check bool)
-            (Printf.sprintf "inst%d same mapping" i)
-            true
-            (seq.Phom.Api.mapping = par.Phom.Api.mapping))
-        grid_instances)
 
 let test_solve_within_deadline () =
   (* an already-expired deadline must still return a valid result with an
@@ -649,6 +517,7 @@ let suite =
         Alcotest.test_case "cancel hook" `Quick test_cancel_hook;
         Alcotest.test_case "create validation" `Quick test_create_validation;
         Alcotest.test_case "strings" `Quick test_strings;
+        Alcotest.test_case "parallel fault grid stays valid" `Quick test_parallel_fault_grid;
       ] );
     ( "fault_grid",
       [
@@ -667,21 +536,5 @@ let suite =
         Alcotest.test_case "symmetric" `Quick test_grid_symmetric;
         Alcotest.test_case "solve_within: expired deadline" `Quick test_solve_within_deadline;
         Alcotest.test_case "solve_within: ample budget" `Quick test_solve_within_complete;
-      ] );
-    ( "budget_fork",
-      [
-        Alcotest.test_case "exact family step cap" `Quick test_fork_exact_family_cap;
-        Alcotest.test_case "fork of a tripped parent" `Quick test_fork_of_tripped_parent;
-        Alcotest.test_case "untripped family completes" `Quick
-          test_fork_untripped_family_completes;
-        Alcotest.test_case "cancel propagates to children" `Quick
-          test_cancel_propagates_to_children;
-        Alcotest.test_case "sibling trip propagates" `Quick test_sibling_trip_propagates;
-        Alcotest.test_case "join validation" `Quick test_join_validation;
-        Alcotest.test_case "fork across real domains" `Quick test_fork_across_domains;
-        Alcotest.test_case "parallel fault grid stays valid" `Quick test_parallel_fault_grid;
-        Alcotest.test_case "jobs 1 = jobs 4 under ample budget" `Quick
-          test_jobs1_equals_jobs4_under_budget;
-        Alcotest.test_case "fork of a child refused" `Quick test_fork_of_child_refused;
       ] );
   ]

@@ -307,14 +307,17 @@ let test_in_process_matches_socket () =
 
 (* ---- step caps do not depend on the pool ---- *)
 
-(* the DP runs on the request's own job, so a step cap answers the same on
-   a state made without a pool and on one made with a 2-domain pool, as
-   [phomd --jobs 2] makes it: complete exactly when the cap covers the
-   DP's rows. Seeded 9-node trees with at least two join nodes against
-   24-node DAGs; the closure and the matrix are warmed first, so the DP's
-   rows are all a capped request spends. Each probe takes a fresh xi: label
-   equality gives every xi in (0, 1] the same candidates, so the rows stay
-   put while the count cache keeps missing. *)
+(* every solve runs on the request's own job, so a step cap answers the
+   same on a state made without a pool and on one made with a 2-domain
+   pool, as [phomd --jobs 2] makes it: complete exactly when the cap covers
+   the steps the request takes in process. Two shapes: the DP's rows, on
+   seeded 9-node trees with at least two join nodes against 24-node DAGs,
+   counted and solved exactly; and a [--partition] solve of a pattern of
+   four weak components, solved one after another. The closure and the
+   matrix are warmed first, so the engine's steps are all a capped request
+   spends. Each probe takes a fresh xi: label equality gives every xi in
+   (0, 1] the same candidates, so the steps stay put while the count cache
+   and the warm-start store keep missing. *)
 let test_step_caps_ignore_pool () =
   let module G = Phom_graph.Generators in
   let module Td = Phom_treedecomp.Treedecomp in
@@ -330,6 +333,56 @@ let test_step_caps_ignore_pool () =
     | Ok req -> fst (Daemon.execute st req)
     | Error e -> Alcotest.failf "%S does not parse: %s" line e
   in
+  let steps f =
+    let b = Budget.unlimited () in
+    ignore (f b);
+    Budget.steps_used b
+  in
+  (* load [g1] as p and [g2] as d into a plain and a pooled state, warm
+     both with [warm_up], then send each request at caps need - 1, need
+     and need + 1 *)
+  let probe pool ~what ~warm_up (g1, g2) requests =
+    let paths =
+      List.map
+        (fun g ->
+          let path = Filename.temp_file "phomd_caps" ".phg" in
+          Phom_graph.Graph_io.save path g;
+          path)
+        [ g1; g2 ]
+    in
+    Fun.protect
+      ~finally:(fun () -> List.iter Sys.remove paths)
+      (fun () ->
+        let plain = Daemon.make_state differential_config
+        and pooled = Daemon.make_state ~pool differential_config in
+        List.iter
+          (fun st ->
+            List.iter2
+              (fun name path ->
+                check_prefix "load" "ok loaded"
+                  (execute st (Printf.sprintf "load graph %s %s" name path)))
+              [ "p"; "d" ] paths;
+            check_prefix "warm-up" "ok " (execute st warm_up))
+          [ plain; pooled ];
+        let xi = ref 0.5 in
+        List.iter
+          (fun (request, need) ->
+            List.iter
+              (fun cap ->
+                xi := !xi +. 0.01;
+                let line = Printf.sprintf "%s --xi %.2f --steps %d" request !xi cap in
+                let where w = Printf.sprintf "%s, %d steps, %S: %s" what need line w in
+                let reply = execute plain line in
+                Alcotest.(check string) (where "pooled = plain") reply
+                  (execute pooled line);
+                let status =
+                  if cap >= need then "status=complete" else "status=exhausted(steps)"
+                in
+                if Helpers.count_substring ~needle:status reply <> 1 then
+                  Alcotest.failf "%s, got %S" (where status) reply)
+              [ need - 1; need; need + 1 ])
+          requests)
+  in
   Pool.with_pool ~domains:2 (fun pool ->
       for seed = 0 to 5 do
         let rng = Random.State.make [| 0x5ca9; seed |] in
@@ -341,68 +394,27 @@ let test_step_caps_ignore_pool () =
         let tp = pattern () in
         let dg = G.random_dag ~rng ~n:24 ~m:60 ~labels:lbl in
         (* the instance every probe builds, at any xi in (0, 1] *)
-        let t =
-          Phom.Instance.make ~g1:tp ~g2:dg
-            ~mat:(Phom_sim.Simmat.of_label_equality tp dg)
-            ~xi:0.5 ()
-        in
-        let rows f =
-          let b = Budget.unlimited () in
-          ignore (f b);
-          Budget.steps_used b
-        in
-        let count_rows = rows (fun budget -> Phom.Dp.count ~budget t) in
-        let solve_rows =
-          rows (fun budget ->
-              Phom.Dp.solve ~budget ~objective:Phom.Exact.Cardinality t)
-        in
-        let paths =
-          List.map
-            (fun g ->
-              let path = Filename.temp_file "phomd_caps" ".phg" in
-              Phom_graph.Graph_io.save path g;
-              path)
-            [ tp; dg ]
-        in
-        Fun.protect
-          ~finally:(fun () -> List.iter Sys.remove paths)
-          (fun () ->
-            let plain = Daemon.make_state differential_config
-            and pooled = Daemon.make_state ~pool differential_config in
-            List.iter
-              (fun st ->
-                List.iter2
-                  (fun name path ->
-                    check_prefix "load" "ok loaded"
-                      (execute st (Printf.sprintf "load graph %s %s" name path)))
-                  [ "tp"; "dg" ] paths;
-                check_prefix "warm-up" "ok count"
-                  (execute st "count tp dg --xi 0.45"))
-              [ plain; pooled ];
-            let xi = ref 0.5 in
-            List.iter
-              (fun (request, rows) ->
-                List.iter
-                  (fun cap ->
-                    xi := !xi +. 0.01;
-                    let line = Printf.sprintf "%s --xi %.2f --steps %d" request !xi cap in
-                    let where what =
-                      Printf.sprintf "seed %d, %d rows, %S: %s" seed rows line what
-                    in
-                    let reply = execute plain line in
-                    Alcotest.(check string) (where "pooled = plain") reply
-                      (execute pooled line);
-                    let status =
-                      if cap >= rows then "status=complete" else "status=exhausted(steps)"
-                    in
-                    if Helpers.count_substring ~needle:status reply <> 1 then
-                      Alcotest.failf "%s, got %S" (where status) reply)
-                  [ rows - 1; rows; rows + 1 ])
-              [
-                ("count tp dg", count_rows);
-                ("solve card tp dg --algorithm exact", solve_rows);
-              ])
-      done)
+        let t = Helpers.eq_instance tp dg in
+        probe pool
+          ~what:(Printf.sprintf "seed %d" seed)
+          ~warm_up:"count p d --xi 0.45" (tp, dg)
+          [
+            ("count p d", steps (fun budget -> Phom.Dp.count ~budget t));
+            ( "solve card p d --algorithm exact",
+              steps (fun budget ->
+                  Phom.Dp.solve ~budget ~objective:Phom.Exact.Cardinality t) );
+          ]
+      done;
+      let g1, g2 = Helpers.multi_component_pair 1 in
+      let components = (Phom_graph.Components.compute g1).Phom_graph.Components.count in
+      if components < 3 then Alcotest.failf "%d weak components, not 3 or more" components;
+      let t = Helpers.eq_instance ~xi:0.75 g1 g2 in
+      probe pool ~what:"partition" ~warm_up:"solve card p d --xi 0.45" (g1, g2)
+        [
+          ( "solve card p d --partition",
+            steps (fun budget ->
+                Phom.Api.solve_within ~partition:true ~budget Phom.Api.CPH t) );
+        ])
 
 (* ---- Conn: bounded reader and fault grid (socketpair, no daemon) ---- *)
 

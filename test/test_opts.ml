@@ -20,7 +20,7 @@ let test_partitioned_fig10 () =
       [ (0, 1); (2, 3); (3, 4); (3, 5); (4, 5) ]
   in
   let t = eq_instance g1 g2 in
-  let m = Opts.partitioned (fun ?budget:_ sub _ -> CMC.run sub) t in
+  let m = Opts.partitioned (fun sub _ -> CMC.run sub) t in
   check_valid t m;
   (* A,B map directly; D is a singleton; E,F,G need E→F and E→G paths *)
   Alcotest.(check int) "six of seven nodes" 6 (Mapping.size m)
@@ -28,7 +28,7 @@ let test_partitioned_fig10 () =
 let test_partitioned_singleton_shortcut () =
   let g1 = graph [ "a" ] [] and g2 = graph [ "a"; "a" ] [] in
   let t = eq_instance g1 g2 in
-  let m = Opts.partitioned (fun ?budget:_ sub _ -> CMC.run sub) t in
+  let m = Opts.partitioned (fun sub _ -> CMC.run sub) t in
   Alcotest.(check int) "mapped" 1 (Mapping.size m)
 
 let test_compress_basic () =
@@ -74,14 +74,14 @@ let test_decompress_drops_ineligible () =
 let prop_partitioned_valid =
   qtest ~count:120 "opts: partitioned mapping is valid" (instance_gen ())
     print_instance (fun t ->
-      Instance.is_valid t (Opts.partitioned (fun ?budget:_ sub _ -> CMC.run sub) t))
+      Instance.is_valid t (Opts.partitioned (fun sub _ -> CMC.run sub) t))
 
 let prop_partitioned_no_worse =
   qtest ~count:120 "opts: partitioning never hurts the greedy result"
     (instance_gen ()) print_instance (fun t ->
       let direct = Instance.qual_card t (CMC.run t) in
       let parts =
-        Instance.qual_card t (Opts.partitioned (fun ?budget:_ sub _ -> CMC.run sub) t)
+        Instance.qual_card t (Opts.partitioned (fun sub _ -> CMC.run sub) t)
       in
       (* Proposition 1: per-component optima union to the global optimum;
          for the greedy algorithm we only check it stays valid and sane —

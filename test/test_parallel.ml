@@ -1,11 +1,8 @@
-(* The domain pool, and the determinism contract of every parallel seam:
-   with a pool and no budget trip, results are identical to the sequential
-   ones — same order, same mappings, same qualities. *)
+(* The domain pool, and the determinism contract of its batch seam: with a
+   pool, results are identical to the sequential ones — same order, same
+   verdicts. *)
 
-open Helpers
 module Pool = Phom_parallel.Pool
-module G = Phom_graph.Generators
-module Api = Phom.Api
 
 (* a shared pool for the whole suite keeps domain spawning off the hot path;
    size 4 oversubscribes small CI machines, which is exactly the contention
@@ -87,57 +84,6 @@ let test_shutdown_degenerates () =
 
 (* ---- seam determinism: parallel ≡ sequential ---- *)
 
-(* a disconnected pattern: the partition seam fans its components out *)
-let multi_component_instance seed =
-  let rng = Random.State.make [| seed |] in
-  let g0, lpool = G.paper_pattern ~rng ~m:12 in
-  let patterns =
-    g0
-    :: List.init 3 (fun _ ->
-           G.erdos_renyi ~rng ~n:12 ~m:48 ~labels:(fun _ ->
-               G.label_name (Random.State.int rng lpool.G.nlabels)))
-  in
-  let datas = List.map (G.paper_data ~rng ~pool:lpool ~noise:0.1) patterns in
-  let union gs =
-    let labels =
-      Array.concat
-        (List.map (fun g -> Array.init (D.n g) (D.label g)) gs)
-    in
-    let _, edges =
-      List.fold_left
-        (fun (off, acc) g ->
-          ( off + D.n g,
-            List.rev_append
-              (List.map (fun (v, w) -> (v + off, w + off)) (D.edges g))
-              acc ))
-        (0, []) gs
-    in
-    D.make ~labels ~edges
-  in
-  let g1 = union patterns and g2 = union datas in
-  let lsim = Phom_sim.Labelsim.make ~pool:lpool ~seed in
-  Instance.make ~g1 ~g2 ~mat:(Phom_sim.Labelsim.matrix lsim g1 g2) ~xi:0.75 ()
-
-let test_partition_parallel_equals_sequential () =
-  let p = Lazy.force pool in
-  List.iter
-    (fun seed ->
-      let t = multi_component_instance seed in
-      List.iter
-        (fun problem ->
-          let seq = Api.solve_within ~partition:true problem t in
-          let par = Api.solve_within ~partition:true ~pool:p problem t in
-          check_valid t par.Api.mapping;
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "quality seed %d" seed)
-            seq.Api.quality par.Api.quality;
-          Alcotest.(check bool)
-            (Printf.sprintf "same mapping seed %d" seed)
-            true
-            (seq.Api.mapping = par.Api.mapping))
-        [ Api.CPH; Api.SPH ])
-    [ 11; 42 ]
-
 let test_matcher_parallel_equals_sequential () =
   let p = Lazy.force pool in
   let rng = Random.State.make [| 5 |] in
@@ -171,8 +117,6 @@ let suite =
       ] );
     ( "parallel_seams",
       [
-        Alcotest.test_case "partition: pool ≡ sequential" `Quick
-          test_partition_parallel_equals_sequential;
         Alcotest.test_case "matcher: pool ≡ sequential" `Quick
           test_matcher_parallel_equals_sequential;
       ] );

@@ -190,7 +190,6 @@ let test_protocol_parse_ok () =
   Alcotest.(check (option (float 1e-9))) "timeout" (Some 1.5) s.Protocol.timeout;
   Alcotest.(check (option int)) "steps" (Some 100) s.Protocol.steps;
   Alcotest.(check bool) "partition" true s.Protocol.partition;
-  Alcotest.(check bool) "sequential" true s.Protocol.sequential;
   let s = solve "solve card11 pat store --compress" in
   Alcotest.(check bool) "compress" true s.Protocol.compress
 
