@@ -4,16 +4,11 @@ module Dpx = Phom_treedecomp.Dp_exact
 
 let width (t : Instance.t) = Td.width t.Instance.g1
 
-let pair_value objective (t : Instance.t) =
-  match objective with
-  | Exact.Cardinality -> fun _ _ -> 1.
-  | Exact.Similarity w -> fun v u -> w.(v) *. Phom_sim.Simmat.get t.mat v u
-
 let relaxed ?budget ~objective (t : Instance.t) =
   let nice = Td.nice (Td.compute t.Instance.g1) in
   Dpx.solve ?budget ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
     ~cands:(Instance.candidates t)
-    ~pair_value:(pair_value objective t)
+    ~pair_value:(Exact.pair_value objective t)
     nice
 
 let solve ?(injective = false) ?budget ~objective (t : Instance.t) =

@@ -1,6 +1,6 @@
 module D = Phom_graph.Digraph
 module BM = Phom_graph.Bitmatrix
-module Bitset = Phom_graph.Bitset
+module Fit = Phom_graph.Fit
 module Budget = Phom_graph.Budget
 module Simmat = Phom_sim.Simmat
 
@@ -19,29 +19,18 @@ let resolve_budget = function
   | Some b -> b
   | None -> Budget.create ~steps:5_000_000 ()
 
-(* a pattern edge at the node of some depth, to its neighbour [w], [out]
-   when it leaves that node. [masks.(j)] holds the node's row positions
-   that stay consistent with the edge while [w] takes its [j]th candidate:
-   built on first use, [none] until then ([masks] is [[||]] until the
-   link's first), and kept for the rest of the search *)
-type link = { w : int; out : bool; mutable masks : Bitset.t array }
-
-let none = Bitset.create 0
-
 (* what the search walks: the pattern nodes scarcest candidate row first
    (fail early, prune hard), and [suffix.(k)], the most value positions
    [k..] of [order] can still add. Per depth, [seen] marks a first visit
-   done; [links], and [allowed], the buffer their masks are ANDed into, are
-   built when the depth is visited again. They stay with the plan, so a
-   second pass reuses the masks. *)
+   done; [fit], the node's {!Fit}, is made on the first revisit and kept
+   with the plan, so a second pass reuses its masks. *)
 type plan = {
   objective : objective;
   cands : int array array;
   order : int array;
   suffix : float array;
   seen : bool array;
-  links : link array option array;
-  allowed : Bitset.t array;
+  fit : Fit.t option array;
 }
 
 let plan ~objective cands (t : Instance.t) =
@@ -65,8 +54,7 @@ let plan ~objective cands (t : Instance.t) =
     order;
     suffix;
     seen = Array.make n1 false;
-    links = Array.make n1 None;
-    allowed = Array.make n1 none;
+    fit = Array.make n1 None;
   }
 
 (* The one assignment-tree branch and bound. At depth [k], node [order.(k)]
@@ -74,9 +62,9 @@ let plan ~objective cands (t : Instance.t) =
    (and unused, when [injective]), in row order, then stays unmapped unless
    [total]. A depth's first visit probes [tc2] per candidate and placed
    neighbour, so a search that never comes back allocates nothing; a
-   revisit takes the AND of the placed neighbours' masks, or the whole row
-   when none is placed. Only neighbours at earlier depths are ever placed,
-   so a self-loop never constrains. Every search node ticks [budget] once.
+   revisit asks the node's {!Fit}, which ANDs the placed neighbours' masks.
+   Only neighbours at earlier depths are ever placed, so a self-loop never
+   constrains. Every search node ticks [budget] once.
    [cut bound] prunes a subtree whose [bound] (the value so far plus
    [suffix.(k)]) cannot pay; [leaf value mapping] sees each complete
    assignment, [mapping ()] reading it out. Callers stop early by raising
@@ -93,47 +81,19 @@ let search p ~injective ~budget ~total ~cut ~leaf (t : Instance.t) =
         (at.(w) < 0 || edge out u p.cands.(w).(at.(w)))
         && fits ws out u (l + 1))
   in
-  let links k v row =
-    match p.links.(k) with
-    | Some links -> links
+  let fit k v =
+    match p.fit.(k) with
+    | Some f -> f
     | None ->
-        let link out w = { w; out; masks = [||] } in
-        let links =
-          Array.append
-            (Array.map (link true) (D.succ t.g1 v))
-            (Array.map (link false) (D.pred t.g1 v))
+        let edge_to out w = (w, p.cands.(w), out) in
+        let f =
+          Fit.make ~tc2:t.tc2 p.cands.(v)
+            (Array.append
+               (Array.map (edge_to true) (D.succ t.g1 v))
+               (Array.map (edge_to false) (D.pred t.g1 v)))
         in
-        p.links.(k) <- Some links;
-        p.allowed.(k) <- Bitset.create (Array.length row);
-        links
-  in
-  let mask row lk j =
-    if Array.length lk.masks = 0 then
-      lk.masks <- Array.make (Array.length p.cands.(lk.w)) none;
-    if lk.masks.(j) == none then begin
-      let u' = p.cands.(lk.w).(j) and m = Bitset.create (Array.length row) in
-      for i = 0 to Array.length row - 1 do
-        if edge lk.out row.(i) u' then Bitset.add m i
-      done;
-      lk.masks.(j) <- m
-    end;
-    lk.masks.(j)
-  in
-  (* [allowed.(k)] := the AND of the placed links' masks; false when no
-     link is placed, leaving the buffer stale *)
-  let narrow k row links =
-    let a = p.allowed.(k) in
-    Array.fold_left
-      (fun any lk ->
-        let j = at.(lk.w) in
-        if j < 0 then any
-        else begin
-          let m = mask row lk j in
-          if any then Bitset.inter_into ~into:a m
-          else Bitset.copy_into ~into:a m;
-          true
-        end)
-      false links
+        p.fit.(k) <- Some f;
+        f
   in
   let mapping () =
     let pairs = ref [] in
@@ -156,12 +116,7 @@ let search p ~injective ~budget ~total ~cut ~leaf (t : Instance.t) =
             place k v value i
         done
       end
-      else if narrow k row (links k v row) then
-        Bitset.iter (place k v value) p.allowed.(k)
-      else
-        for i = 0 to Array.length row - 1 do
-          place k v value i
-        done;
+      else Fit.iter (fit k v) at 0 (place k v value);
       if not total then go (k + 1) value
     end
   and place k v value i =

@@ -7,9 +7,9 @@
 
     A depth's first visit tests each candidate against the placed
     neighbours by closure lookups and allocates nothing. When the search
-    comes back to it, the candidates are the AND of memoised bitmasks, one
-    per placed neighbour and that neighbour's target, each built once over
-    the node's candidate row and kept for the rest of the search: at most
+    comes back to it, the node's {!Phom_graph.Fit} yields the candidates,
+    an AND of bitmasks, one per placed neighbour and that neighbour's
+    target, each built once and kept for the rest of the search: at most
     one closure-sized bit matrix per pattern edge. Masks change neither
     the order nor the ticks, so answers and step counts are those of the
     per-candidate test.
@@ -23,6 +23,10 @@
 type objective =
   | Cardinality  (** maximize [qualCard] — CPH / CPH¹⁻¹ *)
   | Similarity of float array  (** maximize [qualSim] with these node weights — SPH / SPH¹⁻¹ *)
+
+val pair_value : objective -> Instance.t -> int -> int -> float
+(** The gain of mapping pattern node [v] to data node [u]: [1.], or
+    [w.(v) *. mat(v, u)] under [Similarity w]. *)
 
 type outcome = {
   mapping : Mapping.t;

@@ -61,9 +61,12 @@ let inter a b =
   done;
   { len = a.len; data }
 
+(* a loop: [Array.blit] is a C call, dear for a set of a word or two *)
 let copy_into ~into s =
   same_universe into s "copy_into";
-  Array.blit s.data 0 into.data 0 (Array.length s.data)
+  for w = 0 to Array.length s.data - 1 do
+    into.data.(w) <- s.data.(w)
+  done
 
 let disjoint a b =
   same_universe a b "disjoint";
@@ -97,11 +100,12 @@ let subset a b =
 
 let iter f s =
   for w = 0 to Array.length s.data - 1 do
-    let word = s.data.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+    let word = ref s.data.(w) and i = ref (w * bits_per_word) in
+    while !word <> 0 do
+      if !word land 1 <> 0 then f !i;
+      word := !word lsr 1;
+      incr i
+    done
   done
 
 let fold f s init =

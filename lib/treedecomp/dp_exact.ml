@@ -1,5 +1,5 @@
 module D = Phom_graph.Digraph
-module BM = Phom_graph.Bitmatrix
+module Fit = Phom_graph.Fit
 module Budget = Phom_graph.Budget
 module Obs = Phom_obs.Obs
 module T = Treedecomp
@@ -22,21 +22,13 @@ let resolve_budget = function Some b -> b | None -> default_budget ()
 (* Per-node plans                                                   *)
 (* ---------------------------------------------------------------- *)
 
-(* a bag co-member [w] adjacent to the introduced node: the only edge
-   checks an introduce node performs; a valid decomposition covers every
-   edge this way *)
-type con = {
-  cpos : int;  (* w's position in the child bag *)
-  ccands : int array;  (* w's candidate row, to read its data node *)
-  fwd : bool;  (* v -> w edge *)
-  bwd : bool;  (* w -> v edge *)
-}
-
+(* [edges]: [iv]'s edges to its child-bag co-members as {!Fit} takes
+   them (position in the child bag, candidate row, whether the edge
+   leaves [iv]); a valid decomposition covers every pattern edge so *)
 type intro_plan = {
   iv : int;  (* the introduced pattern node *)
   ipos : int;  (* its position in this node's bag *)
-  self_loop : bool;
-  cons : con array;
+  edges : (int * int array * bool) array;
 }
 
 type plan =
@@ -62,33 +54,14 @@ let plans g1 ~cands (nt : T.nice) =
           P_forget { fpos = pos_of v nt.T.nbags.(nt.T.nchildren.(i).(0)) }
       | T.Introduce v ->
           let cbag = nt.T.nbags.(nt.T.nchildren.(i).(0)) in
-          let cons = ref [] in
+          let edges = ref [] in
           Array.iteri
             (fun j w ->
-              let fwd = D.has_edge g1 v w and bwd = D.has_edge g1 w v in
-              if fwd || bwd then
-                cons := { cpos = j; ccands = cands.(w); fwd; bwd } :: !cons)
+              if D.has_edge g1 v w then edges := (j, cands.(w), true) :: !edges;
+              if D.has_edge g1 w v then edges := (j, cands.(w), false) :: !edges)
             cbag;
           P_intro
-            {
-              iv = v;
-              ipos = pos_of v nt.T.nbags.(i);
-              self_loop = D.has_edge g1 v v;
-              cons = Array.of_list (List.rev !cons);
-            })
-
-(* [peer.(k)] is the data node of [cons.(k)]'s co-member in the child row
-   being extended, [-1] when unmapped *)
-let rec cons_ok tc2 cons peer u k =
-  k = Array.length cons
-  ||
-  let c = cons.(k) and u' = peer.(k) in
-  (u' < 0
-  || (((not c.fwd) || BM.get tc2 u u') && ((not c.bwd) || BM.get tc2 u' u)))
-  && cons_ok tc2 cons peer u (k + 1)
-
-let compatible tc2 p peer u =
-  ((not p.self_loop) || BM.get tc2 u u) && cons_ok tc2 p.cons peer u 0
+            { iv = v; ipos = pos_of v nt.T.nbags.(i); edges = Array.of_list !edges })
 
 (* ---------------------------------------------------------------- *)
 (* Tables: flat rows                                                *)
@@ -279,7 +252,8 @@ let tables ops budget ~tc2 ~cands np (nt : T.nice) =
             let c = child 0 in
             let cw = c.width and cand = cands.(p.iv) in
             let stride = Array.length cand + 1 in
-            let peer = Array.make (Array.length p.cons) (-1) in
+            (* made here, so its masks go with this node *)
+            let fit = Fit.make ~tc2 cand p.edges in
             let emit cr ci =
               Budget.tick_exn budget;
               let r = add ops t in
@@ -291,15 +265,8 @@ let tables ops budget ~tc2 ~cands np (nt : T.nice) =
               if ops.traced then t.from.(r) <- (cr * stride) + ci + 1
             in
             for cr = 0 to c.rows - 1 do
-              for k = 0 to Array.length p.cons - 1 do
-                let con = p.cons.(k) in
-                let ci = c.keys.((cr * cw) + con.cpos) in
-                peer.(k) <- (if ci < 0 then -1 else con.ccands.(ci))
-              done;
               if ops.unmapped then emit cr (-1);
-              for ci = 0 to Array.length cand - 1 do
-                if compatible tc2 p peer cand.(ci) then emit cr ci
-              done
+              Fit.iter fit c.keys (cr * cw) (emit cr)
             done;
             t.rows
         | P_forget { fpos } ->

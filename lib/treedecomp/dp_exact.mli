@@ -4,11 +4,15 @@
     The DP consumes raw materials rather than a [Phom.Instance.t] so this
     library can sit below [phom]: the pattern digraph, the data graph's
     (bounded) transitive closure as a bitmatrix, the per-pattern-node
-    candidate rows (already ξ-filtered, no data node twice in a row), and a
-    per-pair value function. A table row is a bag assignment; edge
-    constraints are enforced at introduce nodes, which a valid
-    decomposition guarantees covers every pattern edge. Work is
-    O(Σ_bags |cands|^{bag size}) — polynomial for bounded width.
+    candidate rows (already ξ-filtered, no data node twice in a row, and
+    a self-looped node's row holding only nodes on a cycle, as
+    [Instance.candidates] leaves it), and a per-pair value function. A
+    table row is a bag assignment. Edges are enforced at introduce nodes,
+    which a valid decomposition guarantees covers every pattern edge: the
+    node's {!Phom_graph.Fit} reads the child row's positions and yields
+    the fitting candidates from bitmasks, so the pass reads no [tc2] bit
+    itself. Work is O(Σ_bags |cands|^{bag size}) — polynomial for bounded
+    width.
 
     [solve] and [count] share one table pass: it fills every nice-tree
     node's table bottom-up, on the caller's domain and budget, and the two
@@ -25,7 +29,9 @@
     is built, so at any time the live rows are those of the node being
     built, its children, and the left child of each join still waiting for
     its right subtree. [count] keeps nothing else; [solve] also keeps one
-    [int] per row of every table for the traceback.
+    [int] per row of every table for the traceback. An introduce node's
+    masks, at most one [|cands v| × |cands w|] bit matrix per edge to a
+    co-member [w], are freed once the node is built.
 
     Anytime contract: one {!Phom_graph.Budget} tick per table row
     processed, so a step cap completes exactly when it covers the rows. A

@@ -513,12 +513,34 @@ let reference_instance i =
   let weights = Array.init (D.n g1) (fun v -> 0.5 +. (float_of_int (v mod 4) /. 4.)) in
   (Instance.make ~g1 ~g2 ~mat ~xi:0.5 (), weights, calls)
 
+(* one more family: a tree whose last nodes take every node of a
+   127–135-node DAG, so their rows, and the masks over them, span three
+   words, while the first nodes take about one node in twenty *)
+let several_word_instance i =
+  let st = Random.State.make [| 0x7ac; i |] in
+  let int lo hi = lo + Random.State.int st (hi - lo + 1) in
+  let lbl _ = labels.(Random.State.int st (Array.length labels)) in
+  let narrow = int 2 3 and n2 = int 127 135 in
+  let n1 = narrow + int 1 2 in
+  let g1 = G.random_tree ~rng:st ~n:n1 ~labels:lbl in
+  let g2 = G.random_dag ~rng:st ~n:n2 ~m:(int (2 * n2) (4 * n2)) ~labels:lbl in
+  let mat =
+    Simmat.of_fun ~n1 ~n2 (fun v _ ->
+        if v >= narrow then 0.5 +. (0.1 *. float_of_int (Random.State.int st 5))
+        else if Random.State.int st 20 = 0 then 0.8
+        else 0.1)
+  in
+  let weights = Array.init n1 (fun v -> 0.5 +. (float_of_int (v mod 4) /. 4.)) in
+  (Instance.make ~g1 ~g2 ~mat ~xi:0.5 (), weights, `Both)
+
 let test_reference () =
   let module Dpx = Phom_treedecomp.Dp_exact in
   let module Td = Phom_treedecomp.Treedecomp in
   let wide = ref 0 in
-  for i = 0 to 71 do
-    let t, weights, calls = reference_instance i in
+  for i = 0 to 77 do
+    let t, weights, calls =
+      if i < 72 then reference_instance i else several_word_instance i
+    in
     let g1 = t.Instance.g1 and tc2 = t.Instance.tc2 in
     let cands = Instance.candidates t in
     let nt = Td.nice (Td.compute g1) in
