@@ -68,6 +68,32 @@ let pa3000_toggle =
      in
      (c, find 0 0))
 
+(* a served direct solve: the closure, the similarity matrix and the
+   candidate table are computed once, as the daemon caches them, and each
+   run builds a fresh instance on them, so greedyMatch's per-solve set-up
+   (its candidate rows, masks and similarity rows) is timed *)
+let served g1 g2 mat =
+  let tc2 = TC.compute g2 in
+  let cands = Phom.Instance.candidates (Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi:0.5 ()) in
+  fun () ->
+    let t = Phom.Instance.make ~tc2 ~g1 ~g2 ~mat ~xi:0.5 () in
+    Phom.Instance.preset_candidates t cands;
+    t
+
+(* cache-churn's request: CPH of a 20-node pattern against [pa3000] under
+   label equality *)
+let churn_request =
+  lazy (served pattern20 pa3000 (Phom_sim.Simmat.of_label_equality pattern20 pa3000))
+
+(* warm-serve's costliest request kind: SPH1-1 on its m = 200 Fig-5 pair
+   under label shingles (the first draw of that workload's stream) *)
+let fig5_m200_request =
+  lazy
+    (let rng = Random.State.make [| 5; 300; 0 |] in
+     let g1, pool = G.paper_pattern ~rng ~m:200 in
+     let g2 = G.paper_data ~rng ~pool ~noise:0.1 g1 in
+     served g1 g2 (Phom_sim.Shingle.matrix (D.labels g1) (D.labels g2)))
+
 let synth_instance m =
   let rng = rng () in
   let g1, pool = G.paper_pattern ~rng ~m in
@@ -130,6 +156,13 @@ let tests =
         (Staged.stage (fun () -> ignore (Phom.Comp_max_card.run ~injective:true inst100)));
       Test.make ~name:"compMaxSim/synthetic-m100"
         (Staged.stage (fun () -> ignore (Phom.Comp_max_sim.run inst100)));
+      Test.make ~name:"compMaxCard/pa3000-p20"
+        (Staged.stage (fun () ->
+             ignore (Phom.Comp_max_card.run (Lazy.force churn_request ()))));
+      Test.make ~name:"compMaxSim1-1/fig5-m200"
+        (Staged.stage (fun () ->
+             ignore
+               (Phom.Comp_max_sim.run ~injective:true (Lazy.force fig5_m200_request ()))));
       (* one decide is a 101-step search of a few tens of µs, too short
          for a steady per-run estimate; a sample times a batch of them *)
       Test.make ~name:"exact-decide/synthetic-m100-x64"
@@ -180,6 +213,7 @@ let run () =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   ignore (Lazy.force path3000_catalog);
   ignore (Lazy.force pa3000_toggle);
+  List.iter (fun r -> ignore (Lazy.force r ())) [ churn_request; fig5_m200_request ];
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
   let ols =
     Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]

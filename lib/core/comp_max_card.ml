@@ -4,8 +4,7 @@ let initial_caps h =
   (* every G2 node occurring as a candidate gets capacity 1 *)
   ML.fold (fun _ u acc -> ML.Int_map.add u 1 acc) h ML.Int_map.empty
 
-let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
-    (t : Instance.t) h0 =
+let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim) h0 =
   let budget =
     match budget with Some b -> b | None -> Phom_graph.Budget.unlimited ()
   in
@@ -14,11 +13,6 @@ let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
       `Capacitated (Option.value capacities ~default:(initial_caps h0))
     else `Free
   in
-  let choose_u =
-    match pick with
-    | `Best_sim -> Instance.choose_best t
-    | `First -> fun _ goods -> goods.(0)
-  in
   let rounds = Phom_obs.Obs.counter "phom_solver_greedy_rounds_total" in
   let rec loop best =
     if ML.size h0 <= Mapping.size best || Phom_graph.Budget.exhausted budget then
@@ -26,7 +20,7 @@ let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
     else begin
       Phom_obs.Obs.incr rounds;
       let { Greedy.sigma; conflict } =
-        Greedy.run ~budget ~g1:t.g1 ~tc2:t.tc2 ~choose_u ~mode h0
+        Greedy.run ~budget ~pick ~mode h0
       in
       let best = if Mapping.size sigma > Mapping.size best then sigma else best in
       (* [conflict] is non-empty whenever [h0] is, so the loop shrinks
@@ -42,5 +36,5 @@ let run_on ?(injective = false) ?budget ?capacities ?(pick = `Best_sim)
 
 let run ?injective ?budget ?capacities ?pick t =
   Phom_obs.Obs.span "comp_max_card" (fun () ->
-      run_on ?injective ?budget ?capacities ?pick t
-        (ML.of_candidates (Instance.candidates t)))
+      run_on ?injective ?budget ?capacities ?pick
+        (ML.of_candidates (ML.universe t)))

@@ -35,10 +35,9 @@ val run_on :
   ?budget:Phom_graph.Budget.t ->
   ?capacities:int Matching_list.Int_map.t ->
   ?pick:[ `Best_sim | `First ] ->
-  Instance.t ->
   Matching_list.t ->
   Mapping.t
-(** Run the main loop from an explicit initial matching list — the hook
-    {!Comp_max_sim} uses to process its weight groups. Candidate sets in
-    the list must be subsets of {!Instance.candidates}. The list is
-    consumed: each round removes its conflict set from it in place. *)
+(** Run the main loop from an explicit initial matching list, on the
+    instance of its universe — the hook {!Comp_max_sim} uses to process its
+    weight groups. The list is consumed: each round removes its conflict
+    set from it in place. *)

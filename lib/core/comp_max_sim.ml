@@ -43,13 +43,12 @@ let run ?(injective = false) ?budget ?weights ?pick (t : Instance.t) =
   if Array.length weights <> D.n t.g1 then
     invalid_arg "Comp_max_sim.run: weights length mismatch";
   Phom_obs.Obs.span "comp_max_sim" (fun () ->
-      let cands = Instance.candidates t in
-      let full = ML.of_candidates cands in
+      let cands = Instance.candidates t and u = ML.universe t in
       let groups = weight_groups t weights cands in
       Phom_obs.Obs.add
         (Phom_obs.Obs.counter "phom_solver_sim_groups_total")
         (List.length groups);
-      let candidates_lists = full :: List.map ML.of_pairs groups in
+      let candidates_lists = ML.of_candidates u :: List.map (ML.of_pairs u) groups in
       let score = Instance.qual_sim ~weights t in
       (* the weight groups share one token; once it trips, the remaining
          groups are skipped and the best mapping scored so far is returned *)
@@ -57,7 +56,7 @@ let run ?(injective = false) ?budget ?weights ?pick (t : Instance.t) =
         (fun best h ->
           if Phom_graph.Budget.exhausted budget then best
           else begin
-            let m = Comp_max_card.run_on ~injective ~budget ?pick t h in
+            let m = Comp_max_card.run_on ~injective ~budget ?pick h in
             if score m > score best then m else best
           end)
         [] candidates_lists)

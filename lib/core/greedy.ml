@@ -17,7 +17,7 @@ type work =
 
 let m_runs = lazy (Phom_obs.Obs.counter "phom_solver_greedy_runs_total")
 
-let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
+let run ?budget ~pick ~mode h0 =
   Phom_obs.Obs.incr (Lazy.force m_runs);
   Phom_obs.Obs.span "greedy" @@ fun () ->
   let budget =
@@ -57,14 +57,9 @@ let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
           push_result (sized_empty, sized_empty)
         else if ML.is_empty h then push_result (sized_empty, sized_empty)
         else begin
-          let v, goods = ML.widest h in
-          let u = choose_u v goods in
-          if not (Array.exists (fun u' -> u' = u) goods) then
-            invalid_arg "Greedy.run: choose_u returned a non-candidate";
-          (* line 3: v leaves H; its other candidates go to H⁻ *)
-          let moved = ML.take h v ~keep:u in
-          (* line 4: prune neighbours against (v, u) *)
-          Trim.trim ~g1 ~tc2 ~v ~u h moved;
+          (* lines 2–4: v leaves H with u; its other candidates and its
+             neighbours' candidates inconsistent with (v, u) go to H⁻ *)
+          let v, u = ML.take h pick in
           (* 1-1 / capacitated step: if u is exhausted under the
              hypothesis (v, u), no other node may keep it in good *)
           let caps_plus =
@@ -72,11 +67,11 @@ let run ?budget ~g1 ~tc2 ~choose_u ~mode h0 =
             | None -> None
             | Some c ->
                 let remaining = Option.value ~default:1 (Int_map.find_opt u c) - 1 in
-                if remaining <= 0 then ML.prune_target h moved u;
+                if remaining <= 0 then ML.prune_target h u;
                 Some (Int_map.add u remaining c)
           in
           (* h is now H⁺; nothing reads it as the parent list again *)
-          let hminus = ML.finish h moved in
+          let hminus = ML.finish h in
           work :=
             Eval (h, caps_plus) :: Eval (hminus, caps) :: Combine (v, u) :: !work
         end

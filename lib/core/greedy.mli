@@ -11,8 +11,9 @@
 
     Each step splits its list with {!Matching_list}'s step functions: the
     pairs it rules out go to a fresh H⁻ and the list itself becomes H⁺ in
-    place, so a step allocates in proportion to the pairs it moves. [run]
-    works on its own copy of the input list, which the caller keeps.
+    place, so a step allocates only H⁻, a few words per node it moves.
+    [run] works on its own copy of the input list, which the caller
+    keeps.
 
     [mode] generalizes the paper's two variants:
     - [`Free] — plain p-hom;
@@ -30,16 +31,12 @@ type result = {
 
 val run :
   ?budget:Phom_graph.Budget.t ->
-  g1:Phom_graph.Digraph.t ->
-  tc2:Phom_graph.Bitmatrix.t ->
-  choose_u:(int -> int array -> int) ->
+  pick:[ `Best_sim | `First ] ->
   mode:[ `Free | `Capacitated of int Matching_list.Int_map.t ] ->
   Matching_list.t ->
   result
-(** [choose_u v goods] selects the candidate to try first (compMaxCard uses
-    highest similarity). [goods] is [v]'s non-empty candidate set, ascending;
-    [choose_u] must return a member of it and must not keep or change the
-    array.
+(** [pick] selects the candidate to try first, as in
+    {!Matching_list.take}: compMaxCard's default tries the most similar.
 
     One [budget] tick per evaluated sub-list. An exhausted budget makes the
     remaining branches evaluate to the empty mapping, so [sigma] is still a

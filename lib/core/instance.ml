@@ -56,19 +56,6 @@ let preset_candidates t c =
     invalid_arg "Instance.preset_candidates: wrong number of rows";
   Atomic.set t.cands_memo (Some c)
 
-let choose_best t v goods =
-  let best = ref (-1) and best_sim = ref neg_infinity in
-  Array.iter
-    (fun u ->
-      let s = Simmat.get t.mat v u in
-      if s > !best_sim then begin
-        best := u;
-        best_sim := s
-      end)
-    goods;
-  if !best < 0 then invalid_arg "Instance.choose_best: empty candidate set";
-  !best
-
 let qual_card t m = Mapping.qual_card ~n1:(D.n t.g1) m
 
 let qual_sim ~weights t m = Mapping.qual_sim ~weights ~mat:t.mat m

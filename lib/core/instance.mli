@@ -46,13 +46,6 @@ val preset_candidates : t -> int array array -> unit
 
     @raise Invalid_argument on a row-count mismatch. *)
 
-val choose_best : t -> int -> int array -> int
-(** [choose_best t v goods] is the candidate in [goods] (ascending) of
-    maximum similarity to [v], ties to the smallest id — the [choose_u]
-    policy of the implemented algorithms.
-
-    @raise Invalid_argument on an empty [goods]. *)
-
 val qual_card : t -> Mapping.t -> float
 val qual_sim : weights:float array -> t -> Mapping.t -> float
 

@@ -1,21 +1,25 @@
 module Int_map = Map.Make (Int)
+module D = Phom_graph.Digraph
+module BM = Phom_graph.Bitmatrix
+module Bitset = Phom_graph.Bitset
 
-(* [nodes.(0 .. len - 1)] ascending; node [nodes.(i)] has good set
-   [rows.(i).(0 .. sizes.(i) - 1)], ascending. Steps shrink rows in place.
-   A position whose row empties stays, with size 0, until such dead
-   positions outnumber the [live] ones; [tidy] then drops them, so a scan
-   costs at most twice the live nodes and a step moves nothing else. *)
-type t = {
-  mutable len : int;
-  mutable live : int;
-  nodes : int array;
+let bits = Bitset.bits_per_word
+
+(* node [v]'s candidates, ascending, are [rows.(v)], and a row of it takes
+   [woff.(v + 1) - woff.(v)] words. The step under way has moved the
+   positions in [mv.(woff.(v) ..)] of the nodes
+   [touched.(0 .. ntouched - 1)], the ones [marked] *)
+type universe = {
+  g1 : D.t;
+  tc2 : BM.t;
+  mat : Phom_sim.Simmat.t;
   rows : int array array;
-  sizes : int array;
+  woff : int array;
+  mv : int array;
+  touched : int array;
+  marked : bool array;
+  mutable ntouched : int;
 }
-
-let make nodes rows =
-  let len = Array.length nodes in
-  { len; live = len; nodes; rows; sizes = Array.map Array.length rows }
 
 let sorted_row row =
   let r = Array.copy row in
@@ -30,52 +34,51 @@ let sorted_row row =
     r;
   if !k = Array.length r then r else Array.sub r 0 !k
 
-let of_candidates cands =
-  let nodes =
-    Array.of_seq
-      (Seq.filter
-         (fun v -> Array.length cands.(v) > 0)
-         (Seq.init (Array.length cands) Fun.id))
-  in
-  make nodes (Array.map (fun v -> sorted_row cands.(v)) nodes)
-
-let of_pairs pairs =
-  let by_node =
-    List.fold_left
-      (fun m (v, u) ->
-        Int_map.update v (fun us -> Some (u :: Option.value us ~default:[])) m)
-      Int_map.empty pairs
-    |> Int_map.bindings |> Array.of_list
-  in
-  make (Array.map fst by_node)
-    (Array.map (fun (_, us) -> sorted_row (Array.of_list us)) by_node)
-
-(* the live positions, ascending *)
-let live_positions h =
-  let out = Array.make h.live 0 and k = ref 0 in
-  for i = 0 to h.len - 1 do
-    if h.sizes.(i) > 0 then begin
-      out.(!k) <- i;
-      incr k
-    end
+let universe (t : Instance.t) =
+  let rows = Array.map sorted_row (Instance.candidates t) in
+  let n1 = Array.length rows in
+  let woff = Array.make (n1 + 1) 0 in
+  for v = 0 to n1 - 1 do
+    woff.(v + 1) <- woff.(v) + ((Array.length rows.(v) + bits - 1) / bits)
   done;
-  out
+  {
+    g1 = t.g1;
+    tc2 = t.tc2;
+    mat = t.mat;
+    rows;
+    woff;
+    mv = Array.make woff.(n1) 0;
+    touched = Array.make n1 0;
+    marked = Array.make n1 false;
+    ntouched = 0;
+  }
 
-let copy h =
-  let pos = live_positions h in
-  make
-    (Array.map (fun i -> h.nodes.(i)) pos)
-    (Array.map (fun i -> Array.sub h.rows.(i) 0 h.sizes.(i)) pos)
+let nwords u v = u.woff.(v + 1) - u.woff.(v)
 
-let is_empty h = h.live = 0
-let size h = h.live
+(* [nodes.(0 .. len - 1)] ascending; node [nodes.(i)] has good set the set
+   bits of its row, [words.(first.(i) ..)], and [sizes.(i)] of them. Steps
+   clear bits in place. A position whose row empties stays, with size 0,
+   until such dead positions outnumber the [live] ones; [tidy] then drops
+   them, so a scan costs at most twice the live nodes *)
+type t = {
+  u : universe;
+  mutable len : int;
+  mutable live : int;
+  nodes : int array;
+  first : int array;
+  sizes : int array;
+  words : int array;
+}
 
-let nb_pairs h =
-  let n = ref 0 in
-  for i = 0 to h.len - 1 do
-    n := !n + h.sizes.(i)
+(* the list of [nodes] (ascending), every row empty *)
+let empty_rows u nodes =
+  let len = Array.length nodes in
+  let first = Array.make len 0 and w = ref 0 in
+  for i = 0 to len - 1 do
+    first.(i) <- !w;
+    w := !w + nwords u nodes.(i)
   done;
-  !n
+  { u; len; live = 0; nodes; first; sizes = Array.make len 0; words = Array.make !w 0 }
 
 (* index of [x] in [a.(0 .. n - 1)] (ascending), or -1 *)
 let search (a : int array) n x =
@@ -92,23 +95,74 @@ let search (a : int array) n x =
   done;
   !found
 
-(* [v]'s position, live or dead, or -1 *)
-let find h v = search h.nodes h.len v
-let mem h v = match find h v with -1 -> false | i -> h.sizes.(i) > 0
+let of_candidates u =
+  let nodes =
+    Array.of_seq
+      (Seq.filter
+         (fun v -> Array.length u.rows.(v) > 0)
+         (Seq.init (Array.length u.rows) Fun.id))
+  in
+  let h = empty_rows u nodes in
+  Array.iteri
+    (fun i v ->
+      let k = Array.length u.rows.(v) in
+      for w = 0 to nwords u v - 1 do
+        let r = k - (w * bits) in
+        h.words.(h.first.(i) + w) <- (if r >= bits then -1 else (1 lsl r) - 1)
+      done;
+      h.sizes.(i) <- k)
+    nodes;
+  h.live <- h.len;
+  h
 
-let good h v =
-  match find h v with -1 -> [||] | i -> Array.sub h.rows.(i) 0 h.sizes.(i)
+let of_pairs u pairs =
+  let nodes = Array.of_list (List.sort_uniq Int.compare (List.map fst pairs)) in
+  let h = empty_rows u nodes in
+  List.iter
+    (fun (v, x) ->
+      let i = search nodes h.len v and row = u.rows.(v) in
+      let p = search row (Array.length row) x in
+      if p < 0 then invalid_arg "Matching_list.of_pairs: a pair outside the universe";
+      let k = h.first.(i) + (p / bits) and b = 1 lsl (p mod bits) in
+      if h.words.(k) land b = 0 then begin
+        h.words.(k) <- h.words.(k) lor b;
+        h.sizes.(i) <- h.sizes.(i) + 1
+      end)
+    pairs;
+  h.live <- h.len;
+  h
 
-let nodes h = Array.to_list (Array.map (fun i -> h.nodes.(i)) (live_positions h))
+let copy h =
+  let live = List.filter (fun i -> h.sizes.(i) > 0) (List.init h.len Fun.id) in
+  let c = empty_rows h.u (Array.of_list (List.map (fun i -> h.nodes.(i)) live)) in
+  List.iteri
+    (fun i' i ->
+      Array.blit h.words h.first.(i) c.words c.first.(i') (nwords h.u h.nodes.(i));
+      c.sizes.(i') <- h.sizes.(i))
+    live;
+  c.live <- c.len;
+  c
+
+let is_empty h = h.live = 0
+let size h = h.live
 
 let fold f h acc =
   let acc = ref acc in
   for i = 0 to h.len - 1 do
-    for j = 0 to h.sizes.(i) - 1 do
-      acc := f h.nodes.(i) h.rows.(i).(j) !acc
+    let v = h.nodes.(i) in
+    for w = 0 to nwords h.u v - 1 do
+      let x = ref h.words.(h.first.(i) + w) and p = ref (w * bits) in
+      while !x <> 0 do
+        if !x land 1 <> 0 then acc := f v h.u.rows.(v).(!p) !acc;
+        x := !x lsr 1;
+        incr p
+      done
     done
   done;
   !acc
+
+(* [v]'s position, live or dead, or -1 *)
+let find h v = search h.nodes h.len v
 
 (* drops the dead positions once they outnumber the live ones *)
 let tidy h =
@@ -117,7 +171,7 @@ let tidy h =
     for i = 0 to h.len - 1 do
       if h.sizes.(i) > 0 then begin
         h.nodes.(!k) <- h.nodes.(i);
-        h.rows.(!k) <- h.rows.(i);
+        h.first.(!k) <- h.first.(i);
         h.sizes.(!k) <- h.sizes.(i);
         incr k
       end
@@ -125,109 +179,166 @@ let tidy h =
     h.len <- !k
   end
 
-(* row [i] keeps its first [n] elements *)
+(* row [i] loses [n] set bits *)
 let shrink h i n =
-  if n = 0 && h.sizes.(i) > 0 then h.live <- h.live - 1;
-  h.sizes.(i) <- n
+  if n > 0 then begin
+    h.sizes.(i) <- h.sizes.(i) - n;
+    if h.sizes.(i) = 0 then h.live <- h.live - 1
+  end
 
-(* delete row [i]'s element at index [j] *)
-let delete_at h i j =
-  let row = h.rows.(i) and n = h.sizes.(i) in
-  Array.blit row (j + 1) row j (n - j - 1);
-  shrink h i (n - 1)
+(* clears row [i]'s bit at position [p]; whether it was set *)
+let clear h i p =
+  let k = h.first.(i) + (p / bits) and b = 1 lsl (p mod bits) in
+  h.words.(k) land b <> 0
+  && begin
+       h.words.(k) <- h.words.(k) lxor b;
+       shrink h i 1;
+       true
+     end
 
 let remove_pairs h pairs =
   List.iter
-    (fun (v, u) ->
+    (fun (v, x) ->
       match find h v with
       | -1 -> ()
-      | i -> (
-          match search h.rows.(i) h.sizes.(i) u with
-          | -1 -> ()
-          | j -> delete_at h i j))
+      | i ->
+          let row = h.u.rows.(v) in
+          let p = search row (Array.length row) x in
+          if p >= 0 then ignore (clear h i p))
     pairs;
   tidy h
 
-(* the segments moved so far, each one node's moved candidates, ascending;
-   one node can own several (a 2-cycle through [v], or trim then the
-   capacity step), and they are disjoint *)
-type moved = { mutable segs : (int * int array) list }
+(* the step moves [bad], bits of word [w] of [v]'s row, to its H⁻ *)
+let move u v w bad =
+  if not u.marked.(v) then begin
+    u.marked.(v) <- true;
+    u.touched.(u.ntouched) <- v;
+    u.ntouched <- u.ntouched + 1
+  end;
+  let k = u.woff.(v) + w in
+  u.mv.(k) <- u.mv.(k) lor bad
 
-let widest h =
-  if h.live = 0 then invalid_arg "Matching_list.widest: empty list";
-  let best = ref 0 and best_size = ref 0 in
-  for i = 0 to h.len - 1 do
-    let n = h.sizes.(i) in
-    if n > !best_size then begin
-      best := i;
-      best_size := n
+(* greedyMatch line 4 on row [i], node [v']'s: moves to H⁻ the
+   candidates with no path to [x] ([out]: [v'] is a parent of the taken
+   node) or from it, in one pass over the row's set bits *)
+let prune h i v' x out =
+  let u = h.u in
+  let row = u.rows.(v') and base = h.first.(i) and gone = ref 0 in
+  for w = 0 to nwords u v' - 1 do
+    let y = ref h.words.(base + w) and p = ref (w * bits) and bad = ref 0 in
+    while !y <> 0 do
+      if !y land 1 <> 0 && not (if out then BM.get u.tc2 row.(!p) x else BM.get u.tc2 x row.(!p))
+      then bad := !bad lor (1 lsl (!p - (w * bits)));
+      y := !y lsr 1;
+      incr p
+    done;
+    if !bad <> 0 then begin
+      h.words.(base + w) <- h.words.(base + w) lxor !bad;
+      gone := !gone + Bitset.popcount !bad;
+      move u v' w !bad
     end
   done;
-  let i = !best in
-  let row = h.rows.(i) and n = h.sizes.(i) in
-  (h.nodes.(i), if n = Array.length row then row else Array.sub row 0 n)
+  shrink h i !gone
 
-(* moves row [i]'s elements satisfying [bad] to [moved]; the rest close
-   up in place *)
-let move h moved i bad =
-  let row = h.rows.(i) and n = h.sizes.(i) in
-  let k = ref 0 in
-  for j = 0 to n - 1 do
-    if bad row.(j) then incr k
-  done;
-  if !k > 0 then begin
-    let out = Array.make !k 0 and kept = ref 0 and k = ref 0 in
-    for j = 0 to n - 1 do
-      let u = row.(j) in
-      if bad u then begin
-        out.(!k) <- u;
-        incr k
-      end
-      else begin
-        row.(!kept) <- u;
-        incr kept
-      end
+(* prunes each live node of [nbrs], ascending as [h]'s nodes are, so one
+   search window shrinks across them *)
+let trim h nbrs x out =
+  let lo = ref 0 and k = ref 0 in
+  while !k < Array.length nbrs && !lo < h.len do
+    let v' = nbrs.(!k) and hi = ref h.len in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if h.nodes.(mid) < v' then lo := mid + 1 else hi := mid
     done;
-    shrink h i !kept;
-    moved.segs <- (h.nodes.(i), out) :: moved.segs
-  end
-
-let take h v ~keep =
-  let moved = { segs = [] } in
-  (match find h v with
-  | -1 -> ()
-  | i ->
-      move h moved i (fun u -> u <> keep);
-      shrink h i 0);
-  moved
-
-let prune h moved v bad =
-  match find h v with -1 -> () | i -> move h moved i bad
-
-let prune_target h moved u =
-  for i = 0 to h.len - 1 do
-    let row = h.rows.(i) and n = h.sizes.(i) in
-    if n > 0 && row.(0) <= u && u <= row.(n - 1) then
-      match search row n u with
-      | -1 -> ()
-      | j ->
-          delete_at h i j;
-          moved.segs <- (h.nodes.(i), [| u |]) :: moved.segs
+    if !lo < h.len && h.nodes.(!lo) = v' && h.sizes.(!lo) > 0 then prune h !lo v' x out;
+    incr k
   done
 
-let finish h moved =
+(* row [i]'s set position of the largest similarity, or under [`First]
+   its first; ties go to the first *)
+let choose h i pick =
+  let v = h.nodes.(i) in
+  let best = ref (-1) and best_sim = ref neg_infinity in
+  for w = 0 to nwords h.u v - 1 do
+    let x = ref h.words.(h.first.(i) + w) and p = ref (w * bits) in
+    while !x <> 0 do
+      if !x land 1 <> 0 then begin
+        let s =
+          match pick with `First -> 0. | `Best_sim -> Phom_sim.Simmat.get h.u.mat v h.u.rows.(v).(!p)
+        in
+        if s > !best_sim then begin
+          best := !p;
+          best_sim := s
+        end
+      end;
+      x := !x lsr 1;
+      incr p
+    done
+  done;
+  !best
+
+let take h pick =
+  if h.live = 0 then invalid_arg "Matching_list.take: empty list";
+  let u = h.u and i = ref 0 in
+  for k = 1 to h.len - 1 do
+    if h.sizes.(k) > h.sizes.(!i) then i := k
+  done;
+  let i = !i in
+  let v = h.nodes.(i) in
+  let j = choose h i pick in
+  (* line 3: v leaves with j; its other candidates go to H⁻ *)
+  for w = 0 to nwords u v - 1 do
+    let k = h.first.(i) + w in
+    let rest = if w = j / bits then h.words.(k) lxor (1 lsl (j mod bits)) else h.words.(k) in
+    if rest <> 0 then move u v w rest;
+    h.words.(k) <- 0
+  done;
+  h.sizes.(i) <- 0;
+  h.live <- h.live - 1;
+  (* line 4: a parent keeps the candidates that reach u, a child the ones
+     u reaches *)
+  let x = u.rows.(v).(j) in
+  trim h (D.pred u.g1 v) x true;
+  trim h (D.succ u.g1 v) x false;
+  (v, x)
+
+let prune_target h x =
+  for i = 0 to h.len - 1 do
+    if h.sizes.(i) > 0 then begin
+      let v = h.nodes.(i) in
+      let row = h.u.rows.(v) in
+      let n = Array.length row in
+      if row.(0) <= x && x <= row.(n - 1) then
+        let p = search row n x in
+        if p >= 0 && clear h i p then move h.u v (p / bits) (1 lsl (p mod bits))
+    end
+  done
+
+let finish h =
   tidy h;
-  let segs =
-    List.fold_left
-      (fun acc (v, a) ->
-        match acc with
-        | (w, b) :: rest when v = w ->
-            let r = Array.append a b in
-            Array.sort Int.compare r;
-            (v, r) :: rest
-        | _ -> (v, a) :: acc)
-      []
-      (List.stable_sort (fun (v, _) (w, _) -> Int.compare w v) moved.segs)
-    |> Array.of_list
-  in
-  make (Array.map fst segs) (Array.map snd segs)
+  let u = h.u in
+  let n = u.ntouched in
+  let nodes = Array.sub u.touched 0 n in
+  (* a few nodes a step: an insertion sort *)
+  for i = 1 to n - 1 do
+    let v = nodes.(i) and k = ref (i - 1) in
+    while !k >= 0 && nodes.(!k) > v do
+      nodes.(!k + 1) <- nodes.(!k);
+      decr k
+    done;
+    nodes.(!k + 1) <- v
+  done;
+  let m = empty_rows u nodes in
+  for i = 0 to n - 1 do
+    let v = nodes.(i) in
+    for w = 0 to nwords u v - 1 do
+      let k = u.woff.(v) + w in
+      m.words.(m.first.(i) + w) <- u.mv.(k);
+      m.sizes.(i) <- m.sizes.(i) + Bitset.popcount u.mv.(k);
+      u.mv.(k) <- 0
+    done;
+    u.marked.(v) <- false
+  done;
+  m.live <- n;
+  u.ntouched <- 0;
+  m

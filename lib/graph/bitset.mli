@@ -6,6 +6,9 @@
 
 type t
 
+val bits_per_word : int
+(** Element [i] is bit [i mod bits_per_word] of word [i / bits_per_word]. *)
+
 val create : int -> t
 (** [create len] is the empty set over universe [0 .. len-1]. *)
 
@@ -61,6 +64,9 @@ val equal : t -> t -> bool
 
 val subset : t -> t -> bool
 (** [subset a b] is true iff [a ⊆ b]. *)
+
+val popcount : int -> int
+(** Number of set bits of one word. *)
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate over elements in increasing order. *)

@@ -216,14 +216,14 @@ let test_grid_greedy_via_run_on () =
   List.iteri
     (fun i t ->
       let run b =
-        let m = CMC.run_on ~budget:b t (Phom.Matching_list.of_candidates (Instance.candidates t)) in
+        let m = CMC.run_on ~budget:b (Phom.Matching_list.(of_candidates (universe t))) in
         check_valid t m;
         Instance.qual_card t m
       in
       check_grid
         (Printf.sprintf "greedy/run_on inst%d" i)
         ~unbudgeted:
-          (Instance.qual_card t (CMC.run_on t (Phom.Matching_list.of_candidates (Instance.candidates t))))
+          (Instance.qual_card t (CMC.run_on (Phom.Matching_list.(of_candidates (universe t)))))
         run)
     grid_instances
 

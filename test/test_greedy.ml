@@ -3,9 +3,8 @@ module ML = Phom.Matching_list
 module Greedy = Phom.Greedy
 module CMC = Phom.Comp_max_card
 
-let run_greedy (t : Instance.t) =
-  let h = ML.of_candidates (Instance.candidates t) in
-  Greedy.run ~g1:t.g1 ~tc2:t.tc2 ~choose_u:(Instance.choose_best t) ~mode:`Free h
+let initial (t : Instance.t) = ML.of_candidates (ML.universe t)
+let run_greedy t = Greedy.run ~pick:`Best_sim ~mode:`Free (initial t)
 
 let test_empty () =
   let t = eq_instance (graph [] []) (graph [] []) in
@@ -19,16 +18,6 @@ let test_conflict_nonempty () =
   let r = run_greedy t in
   Alcotest.(check bool) "sigma found" true (r.Greedy.sigma <> []);
   Alcotest.(check bool) "conflict non-empty" true (r.Greedy.conflict <> [])
-
-let test_bad_choose_u_rejected () =
-  let t = eq_instance (graph [ "a" ] []) (graph [ "a" ] []) in
-  let h = ML.of_candidates (Instance.candidates t) in
-  Alcotest.check_raises "non-candidate"
-    (Invalid_argument "Greedy.run: choose_u returned a non-candidate") (fun () ->
-      ignore
-        (Greedy.run ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
-           ~choose_u:(fun _ _ -> 99)
-           ~mode:`Free h))
 
 let test_deep_recursion_is_heap_bounded () =
   (* hundreds of pattern nodes over many shared candidates: the paper's
@@ -69,8 +58,7 @@ let prop_sigma_valid =
 let prop_conflict_nonempty =
   qtest ~count:100 "greedy: non-empty input gives non-empty conflict set"
     (instance_gen ()) print_instance (fun t ->
-      let h = ML.of_candidates (Instance.candidates t) in
-      ML.is_empty h || (run_greedy t).Greedy.conflict <> [])
+      ML.is_empty (initial t) || (run_greedy t).Greedy.conflict <> [])
 
 (* the paper's claim about I: no two of its pairs fit in one valid
    mapping (same pattern node, a broken path, or in 1-1 mode a shared
@@ -78,16 +66,13 @@ let prop_conflict_nonempty =
 let prop_conflict_pairwise_contradictory =
   qtest ~count:200 "greedy: the conflict set is pairwise contradictory"
     (instance_gen ()) print_instance (fun t ->
-      let h = ML.of_candidates (Instance.candidates t) in
+      let h = initial t in
       let unit_caps =
         ML.fold (fun _ u c -> ML.Int_map.add u 1 c) h ML.Int_map.empty
       in
       List.for_all
         (fun (mode, injective) ->
-          let r =
-            Greedy.run ~g1:t.g1 ~tc2:t.tc2 ~choose_u:(Instance.choose_best t)
-              ~mode h
-          in
+          let r = Greedy.run ~pick:`Best_sim ~mode h in
           let rec ok = function
             | [] -> true
             | p :: rest ->
@@ -102,12 +87,8 @@ let prop_conflict_pairwise_contradictory =
 let test_capacity_two () =
   (* three pattern nodes over one target with capacity 2 *)
   let t = eq_instance (graph [ "a"; "a"; "a" ] []) (graph [ "a" ] []) in
-  let h = ML.of_candidates (Instance.candidates t) in
   let caps = ML.Int_map.singleton 0 2 in
-  let r =
-    Greedy.run ~g1:t.Instance.g1 ~tc2:t.Instance.tc2
-      ~choose_u:(Instance.choose_best t) ~mode:(`Capacitated caps) h
-  in
+  let r = Greedy.run ~pick:`Best_sim ~mode:(`Capacitated caps) (initial t) in
   Alcotest.(check int) "exactly two placed" 2 (Mapping.size r.Greedy.sigma)
 
 let prop_deterministic =
@@ -126,7 +107,6 @@ let suite =
       [
         Alcotest.test_case "empty input" `Quick test_empty;
         Alcotest.test_case "conflict set non-empty" `Quick test_conflict_nonempty;
-        Alcotest.test_case "choose_u validation" `Quick test_bad_choose_u_rejected;
         Alcotest.test_case "deep recursion heap-bounded" `Quick
           test_deep_recursion_is_heap_bounded;
         Alcotest.test_case "capacity two" `Quick test_capacity_two;

@@ -1,4 +1,4 @@
-(* greedyMatch on the in-place, array-backed matching list against the
+(* greedyMatch on the in-place matching list of bitset rows against the
    persistent implementation it replaced, kept below as the reference.
    Both run compMaxCard's outer loop on the same instance and must agree
    round by round on sigma and the conflict set I (as exact lists), and on
@@ -207,19 +207,14 @@ end
 (* the same loop on the in-place list: Comp_max_card.run_on, unrolled so
    every round is visible *)
 let rounds ~budget ~caps ~pick (t : Instance.t) =
-  let choose_u =
-    match pick with
-    | `First -> fun _ goods -> goods.(0)
-    | `Best_sim -> Instance.choose_best t
-  in
   let mode = match caps with None -> `Free | Some c -> `Capacitated c in
-  let h = ML.of_candidates (Instance.candidates t) in
+  let h = ML.of_candidates (ML.universe t) in
   let rec loop acc best =
     if ML.size h <= Mapping.size best || Budget.exhausted budget then
       (List.rev acc, best)
     else begin
       let { Greedy.sigma; conflict } =
-        Greedy.run ~budget ~g1:t.g1 ~tc2:t.tc2 ~choose_u ~mode h
+        Greedy.run ~budget ~pick ~mode h
       in
       let acc = (sigma, conflict) :: acc in
       let best = if Mapping.size sigma > Mapping.size best then sigma else best in
@@ -276,6 +271,16 @@ let pa_pair seed =
   in
   (Printf.sprintf "pa seed=%d" seed, eq_instance g1 g2)
 
+(* one label on both sides, so every pattern node's row is all of G2:
+   rows of exactly one full word and of two to four words *)
+let wide_pair n2 =
+  let rng = Random.State.make [| 0x3D; n2 |] in
+  let one _ = "x" in
+  let n1 = 5 + Random.State.int rng 4 in
+  let g1 = G.erdos_renyi ~rng ~n:n1 ~m:(n1 + Random.State.int rng n1) ~labels:one in
+  let g2 = G.preferential_attachment ~rng ~n:n2 ~out:2 ~labels:one in
+  (Printf.sprintf "wide n2=%d" n2, eq_instance g1 g2)
+
 let fig5_pairs =
   List.concat_map
     (fun m -> List.map (fun xi -> fig5_pair ~m ~xi) [ 0.3; 0.5; 0.75 ])
@@ -285,6 +290,7 @@ let random_pairs =
   List.init 12 (random_pair ~dag:false) @ List.init 12 (random_pair ~dag:true)
 
 let pa_pairs = List.init 10 pa_pair
+let wide_pairs = List.map wide_pair [ 63; 64; 130; 190 ]
 
 (* every G2 node occurring as a candidate gets capacity 1 *)
 let unit_caps (t : Instance.t) =
@@ -297,17 +303,17 @@ let unit_caps (t : Instance.t) =
 let modes (t : Instance.t) =
   let c = Opts.compress t in
   [
-    ("free", t, None, fun ~budget pick h -> CMC.run_on ~budget ~pick t h);
+    ("free", t, None, fun ~budget pick h -> CMC.run_on ~budget ~pick h);
     ( "caps=1",
       t,
       Some (unit_caps t),
-      fun ~budget pick h -> CMC.run_on ~injective:true ~budget ~pick t h );
+      fun ~budget pick h -> CMC.run_on ~injective:true ~budget ~pick h );
     ( "compressed",
       c.Opts.sub,
       Some c.Opts.capacities,
       fun ~budget pick h ->
-        CMC.run_on ~injective:true ~capacities:c.Opts.capacities ~budget ~pick
-          c.Opts.sub h );
+        CMC.run_on ~injective:true ~capacities:c.Opts.capacities ~budget ~pick h
+    );
   ]
 
 let caps_grid = [ None; Some 1; Some 5; Some 37; Some 200 ]
@@ -347,7 +353,7 @@ let check_pair (name, t) =
                 (Budget.steps_used b_new);
               let b_cmc = budget_of cap in
               let m =
-                run_on ~budget:b_cmc pick (ML.of_candidates (Instance.candidates t'))
+                run_on ~budget:b_cmc pick (ML.of_candidates (ML.universe t'))
               in
               Alcotest.check pairs_t (label ^ ": compMaxCard") want_best m;
               Alcotest.(check int) (label ^ ": compMaxCard steps")
@@ -361,9 +367,19 @@ let test_fig5 () = List.iter (fun p -> ignore (check_pair p)) fig5_pairs
 let test_random () = List.iter (fun p -> ignore (check_pair p)) random_pairs
 
 let test_pa () =
-  let most = List.fold_left (fun m p -> max m (check_pair p)) 0 pa_pairs in
+  let most = List.fold_left (fun m p -> max m (check_pair p)) 0 (pa_pairs @ wide_pairs) in
   (* the aliasing check needs lists that survive a round *)
   Alcotest.(check bool) "some outer loop runs several rounds" true (most >= 3)
+
+let test_row_widths () =
+  (* rows must span one word exactly and several words somewhere *)
+  let widths =
+    List.concat_map
+      (fun (_, t) -> Array.to_list (Array.map Array.length (Instance.candidates t)))
+      (fig5_pairs @ random_pairs @ pa_pairs @ wide_pairs)
+  in
+  Alcotest.(check bool) "a row of exactly 63" true (List.mem 63 widths);
+  Alcotest.(check bool) "a row of 64 or more" true (List.exists (fun k -> k >= 64) widths)
 
 let test_compressed_capacities () =
   (* the compressed mode must exercise capacities above 1 somewhere *)
@@ -382,6 +398,7 @@ let suite =
         Alcotest.test_case "fig5 pairs" `Quick test_fig5;
         Alcotest.test_case "er and dag pairs" `Quick test_random;
         Alcotest.test_case "preferential attachment" `Quick test_pa;
+        Alcotest.test_case "row widths" `Quick test_row_widths;
         Alcotest.test_case "compressed capacities" `Quick
           test_compressed_capacities;
       ] );

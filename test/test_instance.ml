@@ -34,20 +34,6 @@ let test_candidates_sorted_by_similarity () =
   Alcotest.(check (array int)) "descending" [| 1; 2; 0 |]
     (Instance.candidates t).(0)
 
-let test_choose_best () =
-  let g1 = graph [ "a" ] [] and g2 = graph [ "x"; "y" ] [] in
-  let mat = Simmat.create ~n1:1 ~n2:2 in
-  Simmat.set mat 0 0 0.6;
-  Simmat.set mat 0 1 0.9;
-  let t = Instance.make ~g1 ~g2 ~mat ~xi:0.5 () in
-  Alcotest.(check int) "max similarity" 1 (Instance.choose_best t 0 [| 0; 1 |]);
-  Simmat.set mat 0 0 0.9;
-  Alcotest.(check int) "ties to the smallest id" 0
-    (Instance.choose_best t 0 [| 0; 1 |]);
-  Alcotest.check_raises "empty set"
-    (Invalid_argument "Instance.choose_best: empty candidate set") (fun () ->
-      ignore (Instance.choose_best t 0 [||]))
-
 let test_custom_tc2_changes_semantics () =
   let g1 = graph [ "a"; "b" ] [ (0, 1) ] in
   let g2 = graph [ "a"; "x"; "b" ] [ (0, 1); (1, 2) ] in
@@ -68,7 +54,6 @@ let suite =
           test_candidates_filter_self_loops;
         Alcotest.test_case "candidates sorted by similarity" `Quick
           test_candidates_sorted_by_similarity;
-        Alcotest.test_case "choose_best" `Quick test_choose_best;
         Alcotest.test_case "custom closure changes semantics" `Quick
           test_custom_tc2_changes_semantics;
       ] );
